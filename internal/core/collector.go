@@ -23,7 +23,9 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 
 	"vpm/internal/aggregation"
 	"vpm/internal/netsim"
@@ -56,10 +58,10 @@ type CollectorConfig struct {
 	// Table classifies packet addresses into origin prefixes.
 	Table *packet.Table
 	// PathID derives the full PathID (prev/next HOP, MaxDiff) this
-	// HOP stamps on receipts for a given origin-prefix pair. A
-	// ShardedCollector invokes it concurrently from its shard
-	// goroutines when new paths appear, so the function must be safe
-	// for concurrent use (a pure function of key, the common case, is
+	// HOP stamps on receipts for a given origin-prefix pair. With more
+	// than one shard the Collector invokes it concurrently from its
+	// shard goroutines when new paths appear, so the function must be
+	// safe for concurrent use (a pure function of key, the common case, is
 	// always fine). It must also be injective — distinct keys map to
 	// distinct PathIDs (natural, since the PathID embeds the key);
 	// collectors assume one PathID names one path when draining.
@@ -68,9 +70,9 @@ type CollectorConfig struct {
 	Sampling sampling.Config
 	// Aggregation configures Algorithm 2 (δ local, J system-wide).
 	Aggregation aggregation.Config
-	// Shards selects the collector parallelism NewPathCollector
-	// builds: 0 means auto (GOMAXPROCS), 1 a single-threaded
-	// Collector, N ≥ 2 a ShardedCollector with N shards.
+	// Shards is the number of shards the Collector hash-partitions
+	// paths across: 0 means auto (GOMAXPROCS), N means N shards. One
+	// shard runs inline on the calling goroutine.
 	Shards int
 	// Backend selects exact sample retention (the zero value) or the
 	// streaming sketch backend.
@@ -122,61 +124,6 @@ func (c CollectorConfig) Validate() error {
 	return c.Aggregation.Validate()
 }
 
-// PathCollector is the data-plane surface a Deployment drives. Both
-// the single-threaded Collector and the hash-partitioned
-// ShardedCollector implement it, so everything downstream (Processor,
-// Deployment, netsim replay) is agnostic to the sharding choice.
-type PathCollector interface {
-	netsim.Observer
-	netsim.BatchObserver
-	// HOP returns the collector's HOP identity.
-	HOP() receipt.HOPID
-	// Drain returns receipts finalized since the last Drain, in
-	// deterministic (PathID-sorted) order.
-	Drain() ([]receipt.SampleReceipt, []receipt.AggReceipt)
-	// Flush finalizes all open state and returns the remaining
-	// receipts, in deterministic order.
-	Flush() ([]receipt.SampleReceipt, []receipt.AggReceipt)
-	// Epoch returns the current (open) epoch ordinal.
-	Epoch() EpochID
-	// RotateInterval seals the current epoch — draining the receipts
-	// finalized during it, Drain-style — and opens the next. Open
-	// aggregates and pending sampler buffers carry across untouched.
-	RotateInterval() (EpochID, []receipt.SampleReceipt, []receipt.AggReceipt)
-	// CloseEpoch finalizes all open state into the current epoch —
-	// the terminal rotation at end of stream (Flush semantics).
-	CloseEpoch() (EpochID, []receipt.SampleReceipt, []receipt.AggReceipt)
-	// DrainSketches seals and returns the per-path streaming sketches
-	// accumulated since the last call, in PathID-sorted order (empty
-	// under BackendExact). Return sealed sketches to SketchPool once
-	// consumed so epoch rotation stays allocation-free.
-	DrainSketches() []*streamagg.PathSketch
-	// SketchPool returns the pool sealed sketches should be returned
-	// to (nil under BackendExact).
-	SketchPool() *streamagg.Pool
-	// Recycle hands the buffers of a previous Drain/Flush result back
-	// to the collector for reuse. Only call with the exact slices that
-	// call returned, and only when nothing retains them or their
-	// records — retaining callers (the Processor, the windowed store)
-	// simply never call it.
-	Recycle(samples []receipt.SampleReceipt, aggs []receipt.AggReceipt)
-	// Memory reports the §7.1 memory accounting.
-	Memory() MemoryStats
-	// Stats returns (packets observed, packets that matched no
-	// prefix).
-	Stats() (observed, unclassified uint64)
-}
-
-// NewPathCollector builds the collector variant cfg.Shards selects: a
-// single-threaded Collector when the resolved shard count is 1, a
-// ShardedCollector otherwise (Shards == 0 resolves to GOMAXPROCS).
-func NewPathCollector(cfg CollectorConfig) (PathCollector, error) {
-	if resolveShards(cfg.Shards) == 1 {
-		return NewCollector(cfg)
-	}
-	return NewShardedCollector(cfg)
-}
-
 // pathState is the collector's per-active-path state: one open
 // aggregate receipt and the sampler's temporary buffer (§7.1's
 // monitoring-cache entry), plus — under BackendSketch — the lazily
@@ -194,9 +141,8 @@ type pathState struct {
 	idleDrains int32
 }
 
-// backend is the streaming-backend plumbing shared by the serial
-// collector and every shard of a sharded one: the keep filter and one
-// sketch pool (sync.Pool-backed, safe for concurrent shard use).
+// backend is the streaming-backend plumbing shared by every shard of
+// a collector: the keep filter and one sketch pool (sync.Pool-backed, safe for concurrent shard use).
 type backend struct {
 	sketch bool
 	keep   streamagg.KeepFilter
@@ -241,101 +187,6 @@ func (b *backend) newPathState(cfg *CollectorConfig, key packet.PathKey) *pathSt
 	return st
 }
 
-// Collector is the single-threaded data-plane module of one HOP. It
-// implements PathCollector (and thereby netsim.Observer and
-// netsim.BatchObserver).
-//
-// Concurrency model: a Collector is one shard's worth of data plane —
-// all of its state (path map, samplers, partitioners, counters) is
-// owned by a single goroutine and its per-packet path takes no locks,
-// exactly the §7.1 budget of three memory accesses, one hash function
-// and one timestamp computation. To use more than one core per HOP,
-// wrap the same config in a ShardedCollector, which hash-partitions
-// paths across N Collectors-worth of shard state the way a real router
-// shards by interface; the two are receipt-for-receipt equivalent.
-type Collector struct {
-	cfg     CollectorConfig
-	backend backend
-	paths   map[packet.PathKey]*pathState
-	epoch   EpochID
-
-	// Recycled outer receipt slices for Drain/Flush (see Recycle).
-	spareSamples []receipt.SampleReceipt
-	spareAggs    []receipt.AggReceipt
-
-	observed     uint64
-	unclassified uint64
-}
-
-// NewCollector builds a collector.
-func NewCollector(cfg CollectorConfig) (*Collector, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	c := &Collector{cfg: cfg, paths: make(map[packet.PathKey]*pathState)}
-	c.backend = newBackend(&c.cfg)
-	return c, nil
-}
-
-// Observe processes one packet observation: classify, aggregate,
-// sample. digest is the packet's 64-bit ID; tNS the HOP's (possibly
-// skewed) observation timestamp.
-//
-//vpm:hotpath
-func (c *Collector) Observe(pkt *packet.Packet, digest uint64, tNS int64) {
-	c.observed++
-	key, ok := c.cfg.Table.Classify(pkt)
-	if !ok {
-		c.unclassified++
-		return
-	}
-	st, ok := c.paths[key]
-	if !ok {
-		st = c.backend.newPathState(&c.cfg, key)
-		c.paths[key] = st
-	}
-	st.touched = true
-	st.part.Observe(digest, tNS)
-	st.sampler.Observe(digest, tNS)
-}
-
-// ObserveBatch processes a slice of observations in order — the
-// netsim.BatchObserver entry point. Semantically identical to calling
-// Observe per packet; the ShardedCollector adds the cross-core
-// fan-out.
-//
-//vpm:hotpath
-func (c *Collector) ObserveBatch(batch []netsim.Observation) {
-	for i := range batch {
-		c.Observe(batch[i].Pkt, batch[i].Digest, batch[i].TimeNS)
-	}
-}
-
-// HOP returns the collector's HOP identity.
-func (c *Collector) HOP() receipt.HOPID { return c.cfg.HOP }
-
-// Drain returns the receipts finalized since the last Drain: one
-// sample receipt per active path (possibly empty ones are skipped)
-// plus all closed aggregate receipts, sorted by PathID so that
-// identical runs drain identical receipt sequences regardless of map
-// iteration order. The control-plane processor calls this
-// periodically.
-//
-//vpm:hotpath
-func (c *Collector) Drain() ([]receipt.SampleReceipt, []receipt.AggReceipt) {
-	samples, aggs := c.takeSpares()
-	for key, st := range c.paths {
-		var evict bool
-		samples, aggs, evict = drainPath(st, c.cfg.EvictIdleEpochs, samples, aggs)
-		if evict {
-			delete(c.paths, key)
-		}
-	}
-	samples = mergeSamplesByPath(samples)
-	sortReceipts(samples, aggs)
-	return samples, aggs
-}
-
 // drainPath moves one path's finalized receipts into (samples, aggs)
 // and applies the idle-eviction policy: when the path has been
 // untouched for evictAfter consecutive Drains (and its sketch, if any,
@@ -362,74 +213,6 @@ func drainPath(st *pathState, evictAfter int, samples []receipt.SampleReceipt, a
 	aggs = append(aggs, taken...)
 	st.part.Recycle(taken)
 	return samples, aggs, false
-}
-
-// takeSpares hands out the recycled outer receipt slices (nil when the
-// caller never recycles — the allocating, always-safe default).
-func (c *Collector) takeSpares() ([]receipt.SampleReceipt, []receipt.AggReceipt) {
-	samples, aggs := c.spareSamples, c.spareAggs
-	c.spareSamples, c.spareAggs = nil, nil
-	return samples, aggs
-}
-
-// Flush finalizes all open state (end of reporting period or stream)
-// and returns the remaining receipts, in the same deterministic order
-// as Drain.
-func (c *Collector) Flush() ([]receipt.SampleReceipt, []receipt.AggReceipt) {
-	samples, aggs := c.takeSpares()
-	for _, st := range c.paths {
-		flushed := st.part.Flush()
-		aggs = append(aggs, flushed...)
-		st.part.Recycle(flushed)
-		if recs := st.sampler.Take(); len(recs) > 0 {
-			samples = append(samples, receipt.SampleReceipt{Path: st.id, Samples: recs})
-		}
-	}
-	samples = mergeSamplesByPath(samples)
-	sortReceipts(samples, aggs)
-	return samples, aggs
-}
-
-// Recycle hands the buffers of a previous Drain/Flush result back for
-// reuse: the outer slices return to the collector, each receipt's
-// record buffer to its path's sampler. Safe only when nothing retains
-// the result (see PathCollector.Recycle).
-func (c *Collector) Recycle(samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) {
-	for i := range samples {
-		if st, ok := c.paths[samples[i].Path.Key]; ok {
-			st.sampler.Recycle(samples[i].Samples)
-		}
-	}
-	if cap(samples) > cap(c.spareSamples) {
-		c.spareSamples = samples[:0]
-	}
-	if cap(aggs) > cap(c.spareAggs) {
-		c.spareAggs = aggs[:0]
-	}
-}
-
-// DrainSketches seals and returns the streaming sketches of every path
-// that sampled at least one packet since the last call, PathID-sorted.
-// Ownership passes to the caller; return them via SketchPool().Put.
-func (c *Collector) DrainSketches() []*streamagg.PathSketch {
-	var out []*streamagg.PathSketch
-	for _, st := range c.paths {
-		if st.sketch != nil {
-			out = append(out, st.sketch)
-			st.sketch = nil
-		}
-	}
-	sortSketches(out)
-	return out
-}
-
-// SketchPool returns the pool sealed sketches recycle through (nil
-// under BackendExact).
-func (c *Collector) SketchPool() *streamagg.Pool { return c.backend.pool }
-
-// sortSketches puts sealed sketches into canonical PathID order.
-func sortSketches(s []*streamagg.PathSketch) {
-	sort.Slice(s, func(a, b int) bool { return s[a].Path.Compare(s[b].Path) < 0 })
 }
 
 // sortReceipts puts drained receipts into the canonical deterministic
@@ -463,18 +246,281 @@ type MemoryStats struct {
 	TempBufferPeakBytes int
 }
 
-// Memory reports the collector's current memory accounting.
-func (c *Collector) Memory() MemoryStats {
-	m := MemoryStats{ActivePaths: len(c.paths)}
-	peak := 0
-	for _, st := range c.paths {
-		if hw := st.sampler.TempHighWater(); hw > peak {
-			peak = hw
+// Collector is the data-plane module of one HOP. It implements
+// netsim.Observer and netsim.BatchObserver. It hash-partitions
+// PathKeys across N shards, each owning its own path map, sampler and
+// partitioner state, so the per-packet path needs no locks — the §7.1
+// budget of three memory accesses, one hash function and one
+// timestamp computation, the way a real router shards by interface.
+// Each path's stream lands wholly in one shard, in arrival order, so
+// the receipts do not depend on the shard count.
+//
+// Concurrency model: Observe/ObserveBatch/Drain/Flush must be called
+// from one goroutine at a time (netsim's replay gives each HOP's
+// observer its own goroutine); inside ObserveBatch the busy shards
+// process their sub-batches concurrently and the call returns only
+// when all shards are done. The calling goroutine runs the last busy
+// shard itself, so a one-shard collector starts no goroutine.
+type Collector struct {
+	cfg     CollectorConfig
+	backend backend
+	shards  []*shard
+	cache   [classifyCacheSize]classifyEntry
+	epoch   EpochID
+
+	// Dispatcher scratch, reused across ObserveBatch calls so the
+	// steady-state batch path allocates nothing.
+	busy []*shard
+	wg   sync.WaitGroup
+
+	// Recycled outer receipt slices for Drain/Flush (see Recycle).
+	spareSamples []receipt.SampleReceipt
+	spareAggs    []receipt.AggReceipt
+
+	observed     uint64
+	unclassified uint64
+}
+
+// NewCollector builds a collector with cfg.Shards shards (0 =
+// GOMAXPROCS).
+func NewCollector(cfg CollectorConfig) (*Collector, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	n := cfg.Shards
+	if n == 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	c := &Collector{cfg: cfg, shards: make([]*shard, n)}
+	c.backend = newBackend(&c.cfg)
+	for i := range c.shards {
+		c.shards[i] = &shard{cfg: &c.cfg, backend: &c.backend, paths: make(map[packet.PathKey]*pathState)}
+	}
+	return c, nil
+}
+
+// NumShards returns the shard count.
+func (c *Collector) NumShards() int { return len(c.shards) }
+
+// HOP returns the collector's HOP identity.
+func (c *Collector) HOP() receipt.HOPID { return c.cfg.HOP }
+
+// Observe processes one packet observation: classify, aggregate,
+// sample. digest is the packet's 64-bit ID; tNS the HOP's (possibly
+// skewed) observation timestamp. It runs the owning shard inline.
+//
+//vpm:hotpath
+func (c *Collector) Observe(pkt *packet.Packet, digest uint64, tNS int64) {
+	c.observed++
+	key, hash, sh, ok := c.classify(pkt)
+	if !ok {
+		c.unclassified++
+		return
+	}
+	st := c.shards[sh].stateFor(key, hash)
+	st.touched = true
+	st.part.Observe(digest, tNS)
+	st.sampler.Observe(digest, tNS)
+}
+
+// ObserveBatch processes a batch of observations: the dispatcher
+// classifies and partitions the batch into per-shard sub-batches
+// (preserving arrival order within each shard), then the busy shards
+// run concurrently — the calling goroutine runs the last one itself.
+//
+//vpm:hotpath
+func (c *Collector) ObserveBatch(batch []netsim.Observation) {
+	c.observed += uint64(len(batch))
+	for i := range batch {
+		key, hash, sh, ok := c.classify(batch[i].Pkt)
+		if !ok {
+			c.unclassified++
+			continue
+		}
+		s := c.shards[sh]
+		s.recs = append(s.recs, receipt.SampleRecord{PktID: batch[i].Digest, TimeNS: batch[i].TimeNS})
+		if n := len(s.runs); n > 0 {
+			if r := &s.runs[n-1]; r.hash == hash && r.key == key {
+				r.n++
+				continue
+			}
+		}
+		s.runs = append(s.runs, shardRun{key: key, hash: hash, n: 1})
+	}
+	busy := c.busy[:0]
+	for _, s := range c.shards {
+		if len(s.recs) > 0 {
+			busy = append(busy, s)
 		}
 	}
-	m.MonitoringCacheBytes = len(c.paths) * receipt.BaseAggReceiptBytes
-	m.TempBufferPeakEntries = peak
-	m.TempBufferPeakBytes = peak * receipt.SampleRecordBytes
+	c.busy = busy
+	if len(busy) == 0 {
+		return
+	}
+	// The dispatcher processes the last busy shard itself instead of
+	// parking in Wait — one fewer goroutine handoff per batch. The
+	// workers run a plain method with explicit arguments (no closure)
+	// so spawning them allocates nothing in steady state.
+	for _, s := range busy[:len(busy)-1] {
+		c.wg.Add(1)
+		go c.runShard(s)
+	}
+	busy[len(busy)-1].process()
+	c.wg.Wait()
+}
+
+// runShard processes one shard's sub-batch on a worker goroutine.
+func (c *Collector) runShard(s *shard) {
+	s.process()
+	c.wg.Done()
+}
+
+// Drain returns the receipts finalized since the last Drain across
+// all shards: one sample receipt per path that sampled anything plus
+// all closed aggregate receipts, merged per path via the ⊎
+// combination operators and sorted by PathID — identical runs drain
+// identical receipt sequences at every shard count. The control-plane
+// processor calls this periodically.
+//
+//vpm:hotpath
+func (c *Collector) Drain() ([]receipt.SampleReceipt, []receipt.AggReceipt) {
+	samples, aggs := c.takeSpares()
+	for _, s := range c.shards {
+		evicted := false
+		for key, st := range s.paths {
+			var evict bool
+			samples, aggs, evict = drainPath(st, c.cfg.EvictIdleEpochs, samples, aggs)
+			if evict {
+				delete(s.paths, key)
+				evicted = true
+			}
+		}
+		if evicted {
+			// The state memo holds raw *pathState pointers; a stale hit
+			// on an evicted path would resurrect state the path map no
+			// longer drains. Eviction epochs are rare, so a wholesale
+			// clear beats per-entry bookkeeping.
+			s.memo = [stateMemoSize]stateMemoEntry{}
+		}
+	}
+	samples = mergeSamplesByPath(samples)
+	sortReceipts(samples, aggs)
+	return samples, aggs
+}
+
+// takeSpares hands out the recycled outer receipt slices (nil when the
+// caller never recycles — the allocating, always-safe default).
+func (c *Collector) takeSpares() ([]receipt.SampleReceipt, []receipt.AggReceipt) {
+	samples, aggs := c.spareSamples, c.spareAggs
+	c.spareSamples, c.spareAggs = nil, nil
+	return samples, aggs
+}
+
+// Flush finalizes all shards' open state and returns the remaining
+// receipts, in the same deterministic order as Drain.
+func (c *Collector) Flush() ([]receipt.SampleReceipt, []receipt.AggReceipt) {
+	samples, aggs := c.takeSpares()
+	for _, s := range c.shards {
+		for _, st := range s.paths {
+			flushed := st.part.Flush()
+			aggs = append(aggs, flushed...)
+			st.part.Recycle(flushed)
+			if recs := st.sampler.Take(); len(recs) > 0 {
+				samples = append(samples, receipt.SampleReceipt{Path: st.id, Samples: recs})
+			}
+		}
+	}
+	samples = mergeSamplesByPath(samples)
+	sortReceipts(samples, aggs)
+	return samples, aggs
+}
+
+// Recycle hands the buffers of a previous Drain/Flush result back for
+// reuse: the outer slices return to the dispatcher, each receipt's
+// record buffer to its owning shard's sampler. Safe only when nothing
+// retains the result: only call with the exact slices that call
+// returned — retaining callers (the Processor, the windowed store)
+// simply never call it.
+func (c *Collector) Recycle(samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) {
+	for i := range samples {
+		key := samples[i].Path.Key
+		s := c.shards[pathKeyHash(key)%uint64(len(c.shards))]
+		if st, ok := s.paths[key]; ok {
+			st.sampler.Recycle(samples[i].Samples)
+		}
+	}
+	if cap(samples) > cap(c.spareSamples) {
+		c.spareSamples = samples[:0]
+	}
+	if cap(aggs) > cap(c.spareAggs) {
+		c.spareAggs = aggs[:0]
+	}
+}
+
+// DrainSketches seals and returns the streaming sketches of every path
+// that sampled at least one packet since the last call, PathID-sorted
+// across shards. Ownership passes to the caller; return them via
+// SketchPool().Put.
+func (c *Collector) DrainSketches() []*streamagg.PathSketch {
+	var out []*streamagg.PathSketch
+	for _, s := range c.shards {
+		for _, st := range s.paths {
+			if st.sketch != nil {
+				out = append(out, st.sketch)
+				st.sketch = nil
+			}
+		}
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].Path.Compare(out[b].Path) < 0 })
+	return out
+}
+
+// SketchPool returns the pool sealed sketches recycle through (nil
+// under BackendExact).
+func (c *Collector) SketchPool() *streamagg.Pool { return c.backend.pool }
+
+// mergeSamplesByPath combines sample receipts that share a PathID via
+// receipt.CombineSamples, upholding Drain's one-receipt-per-path
+// contract. With an injective PathID builder (the documented
+// requirement) duplicates cannot occur; the merge keeps drains
+// identical at every shard count even if a caller breaks it.
+func mergeSamplesByPath(samples []receipt.SampleReceipt) []receipt.SampleReceipt {
+	//lint:ignore hotpath one dedup map per drain, not per packet
+	byPath := make(map[receipt.PathID]int, len(samples))
+	out := samples[:0]
+	for _, s := range samples {
+		if i, ok := byPath[s.Path]; ok {
+			merged, err := receipt.CombineSamples(out[i], s)
+			if err != nil {
+				// Unreachable: entries are grouped by identical
+				// PathID, the only error CombineSamples has. Loud is
+				// better than silently dropping measurements.
+				panic(err)
+			}
+			out[i] = merged
+			continue
+		}
+		byPath[s.Path] = len(out)
+		out = append(out, s)
+	}
+	return out
+}
+
+// Memory reports the §7.1 memory accounting aggregated across shards:
+// path counts and cache bytes sum, the temp-buffer peak is the
+// per-shard maximum (each shard owns its own buffers).
+func (c *Collector) Memory() MemoryStats {
+	var m MemoryStats
+	for _, s := range c.shards {
+		m.ActivePaths += len(s.paths)
+		m.MonitoringCacheBytes += len(s.paths) * receipt.BaseAggReceiptBytes
+		for _, st := range s.paths {
+			if hw := st.sampler.TempHighWater(); hw > m.TempBufferPeakEntries {
+				m.TempBufferPeakEntries = hw
+			}
+		}
+	}
+	m.TempBufferPeakBytes = m.TempBufferPeakEntries * receipt.SampleRecordBytes
 	return m
 }
 

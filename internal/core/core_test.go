@@ -583,6 +583,8 @@ func TestProcessorPolling(t *testing.T) {
 	}
 }
 
+// BenchmarkCollectorObserve measures the per-packet Observe feed on a
+// one-shard Collector.
 func BenchmarkCollectorObserve(b *testing.B) {
 	tc := trace.Config{
 		Seed:       1,
@@ -602,6 +604,7 @@ func BenchmarkCollectorObserve(b *testing.B) {
 		},
 		Sampling:    DefaultSamplingConfig(),
 		Aggregation: DefaultAggregationConfig(),
+		Shards:      1,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -41,10 +41,10 @@ type DeployConfig struct {
 	// SkipDomains lists domains that have not deployed VPM (§8,
 	// partial deployment): their HOPs produce no receipts.
 	SkipDomains map[string]bool
-	// Shards selects each HOP collector's parallelism: 0 auto
-	// (GOMAXPROCS), 1 single-threaded, N ≥ 2 a ShardedCollector with
-	// N shards. Sharded and serial deployments produce identical
-	// receipts for identical traffic.
+	// Shards sets each HOP collector's shard count: 0 auto
+	// (GOMAXPROCS), N means N shards; one shard runs inline on the
+	// replay goroutine. Every shard count produces identical receipts
+	// for identical traffic.
 	Shards int
 	// Backend selects exact sample retention (the zero value) or the
 	// streaming sketch backend for every HOP collector.
@@ -69,7 +69,7 @@ func (c DeployConfig) Validate() error {
 		return fmt.Errorf("core: negative reordering window %dns", c.WindowNS)
 	}
 	if c.Shards < 0 {
-		return fmt.Errorf("core: negative collector shard count %d (0 = GOMAXPROCS, 1 = serial)", c.Shards)
+		return fmt.Errorf("core: negative collector shard count %d (0 = GOMAXPROCS, N = N shards)", c.Shards)
 	}
 	if c.Backend == BackendSketch {
 		sk := c.Sketch
@@ -145,7 +145,7 @@ type Deployment struct {
 	// KeyLayouts serve meshes.
 	Topo       *netsim.Topology
 	Table      *packet.Table
-	Collectors map[receipt.HOPID]PathCollector
+	Collectors map[receipt.HOPID]*Collector
 	Processors map[receipt.HOPID]*Processor
 
 	markerThreshold  uint64
@@ -172,7 +172,7 @@ func NewDeployment(path *netsim.Path, table *packet.Table, cfg DeployConfig) (*D
 	d := &Deployment{
 		Path:             path,
 		Table:            table,
-		Collectors:       make(map[receipt.HOPID]PathCollector),
+		Collectors:       make(map[receipt.HOPID]*Collector),
 		Processors:       make(map[receipt.HOPID]*Processor),
 		markerThreshold:  hashing.ThresholdForRate(cfg.MarkerRate),
 		sampleThresholds: make(map[receipt.HOPID]uint64),
@@ -204,7 +204,7 @@ func NewDeployment(path *netsim.Path, table *packet.Table, cfg DeployConfig) (*D
 		}
 		for _, h := range hops {
 			di, ingress := di, h.ingress
-			col, err := NewPathCollector(CollectorConfig{
+			col, err := NewCollector(CollectorConfig{
 				HOP:   h.id,
 				Table: table,
 				PathID: func(key packet.PathKey) receipt.PathID {

@@ -50,7 +50,7 @@ func evictCfg(table *packet.Table, idleEpochs int) CollectorConfig {
 
 // feedWave feeds one wave's packets at 10µs spacing starting at t0,
 // returning the next free timestamp.
-func feedWave(col PathCollector, pkts []packet.Packet, t0 int64) int64 {
+func feedWave(col *Collector, pkts []packet.Packet, t0 int64) int64 {
 	obs := make([]netsim.Observation, len(pkts))
 	for i := range pkts {
 		obs[i] = netsim.Observation{
@@ -66,12 +66,12 @@ func feedWave(col PathCollector, pkts []packet.Packet, t0 int64) int64 {
 // TestEvictIdlePaths: with EvictIdleEpochs = 2, paths that stop seeing
 // traffic are dropped from the monitoring cache after two idle Drains,
 // their open aggregates force-flushed into that Drain so no packet
-// count is lost; serial and sharded collectors evict identically.
+// count is lost; one-shard and four-shard collectors evict identically.
 func TestEvictIdlePaths(t *testing.T) {
 	const nKeys = 8
 	table, waveA, waveB := evictWorld(nKeys)
 
-	run := func(col PathCollector) (activeAfter int, total uint64, stream []byte) {
+	run := func(col *Collector) (activeAfter int, total uint64, stream []byte) {
 		t0 := feedWave(col, waveA, 0)
 		count := func(aggs []receipt.AggReceipt) {
 			for _, a := range aggs {
@@ -98,11 +98,13 @@ func TestEvictIdlePaths(t *testing.T) {
 		return activeAfter, total, stream
 	}
 
-	serial, err := NewCollector(evictCfg(table, 2))
+	serialCfg, shardedCfg := evictCfg(table, 2), evictCfg(table, 2)
+	serialCfg.Shards, shardedCfg.Shards = 1, 4
+	serial, err := NewCollector(serialCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := NewShardedCollector(evictCfg(table, 2))
+	sharded, err := NewCollector(shardedCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +149,7 @@ func TestEvictResurrection(t *testing.T) {
 	table, waveA, waveB := evictWorld(nKeys)
 	cfg := evictCfg(table, 1)
 	cfg.Shards = 2
-	col, err := NewShardedCollector(cfg)
+	col, err := NewCollector(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func hotpathWorkload(t testing.TB, npkts int) (batches [][]netsim.Observation, s
 
 // TestObserveBatchSteadyStateZeroAlloc is the zero-alloc bar of the
 // wire-speed hot path: after warmup (path state created, scratch
-// buffers grown, one Drain/Recycle round trip), feeding the sharded
+// buffers grown, one Drain/Recycle round trip), feeding the
 // collector allocates at most AllocsPerPktBudget per packet.
 func TestObserveBatchSteadyStateZeroAlloc(t *testing.T) {
 	if testing.Short() {
@@ -60,7 +60,7 @@ func TestObserveBatchSteadyStateZeroAlloc(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		batches, span, cfg := hotpathWorkload(t, npkts)
 		cfg.Shards = shards
-		col, err := NewShardedCollector(cfg)
+		col, err := NewCollector(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,6 +110,7 @@ func sketchConfigFor(cfg CollectorConfig, keepRate float64) CollectorConfig {
 // stream.
 func TestSketchBackendKeepAllByteIdentical(t *testing.T) {
 	batches, _, cfg := hotpathWorkload(t, 40_000)
+	cfg.Shards = 1
 	exact, err := NewCollector(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -152,11 +153,12 @@ func TestSketchBackendKeepAllByteIdentical(t *testing.T) {
 // TestSketchBackendThinnedSubset: with KeepRate < 1 the retained
 // records are exactly the exact backend's records filtered through the
 // system-wide KeepFilter (markers always kept), and each path's sketch
-// counted the full pre-thinning sampled set — serial and sharded
+// counted the full pre-thinning sampled set — one shard and four
 // agreeing byte-for-byte.
 func TestSketchBackendThinnedSubset(t *testing.T) {
 	const keepRate = 0.25
 	batches, _, cfg := hotpathWorkload(t, 40_000)
+	cfg.Shards = 1
 	exact, err := NewCollector(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +169,7 @@ func TestSketchBackendThinnedSubset(t *testing.T) {
 	}
 	shardedCfg := sketchConfigFor(cfg, keepRate)
 	shardedCfg.Shards = 4
-	sharded, err := NewShardedCollector(shardedCfg)
+	sharded, err := NewCollector(shardedCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +182,7 @@ func TestSketchBackendThinnedSubset(t *testing.T) {
 	ss, sa := serial.Flush()
 	hs, ha := sharded.Flush()
 	if !bytes.Equal(encodeReceipts(ss, sa), encodeReceipts(hs, ha)) {
-		t.Fatal("sketch-backend receipts differ between serial and sharded")
+		t.Fatal("sketch-backend receipts differ between one shard and four")
 	}
 
 	// Thinned receipts must equal the exact records passed through the

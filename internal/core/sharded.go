@@ -2,24 +2,11 @@ package core
 
 import (
 	"encoding/binary"
-	"runtime"
-	"sync"
 
 	"vpm/internal/hashing"
-	"vpm/internal/netsim"
 	"vpm/internal/packet"
 	"vpm/internal/receipt"
-	"vpm/internal/streamagg"
 )
-
-// resolveShards maps the CollectorConfig.Shards knob to an actual
-// shard count: 0 means GOMAXPROCS, anything else is taken literally.
-func resolveShards(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
-}
 
 // pathKeyHash hashes a PathKey for shard selection and for the
 // per-shard path-state memo. It packs both prefix addresses into one
@@ -52,6 +39,25 @@ type classifyEntry struct {
 	shard uint32
 }
 
+// classify resolves a packet's PathKey, shard and path hash through
+// the direct-mapped cache, falling back to the prefix table's
+// longest-prefix match on a miss.
+func (c *Collector) classify(pkt *packet.Packet) (key packet.PathKey, hash uint64, sh uint32, ok bool) {
+	addrs := uint64(binary.BigEndian.Uint32(pkt.Src[:]))<<32 | uint64(binary.BigEndian.Uint32(pkt.Dst[:]))
+	e := &c.cache[hashing.Mix64(addrs)&(classifyCacheSize-1)]
+	if e.valid && e.addrs == addrs {
+		return e.key, e.hash, e.shard, e.ok
+	}
+	key, ok = c.cfg.Table.Classify(pkt)
+	e.addrs, e.valid, e.ok = addrs, true, ok
+	if ok {
+		hash = pathKeyHash(key)
+		sh = uint32(hash % uint64(len(c.shards)))
+		e.key, e.hash, e.shard = key, hash, sh
+	}
+	return key, hash, sh, ok
+}
+
 // stateMemoSize is each shard's direct-mapped PathKey → *pathState
 // memo, skipping the path-map lookup for runs of hot paths. Must be a
 // power of two.
@@ -73,7 +79,7 @@ type shardRun struct {
 	n    int
 }
 
-// shard is one lock-free slice of a ShardedCollector: its own path
+// shard is one lock-free slice of a Collector: its own path
 // map, samplers and partitioner state, touched only by the goroutine
 // currently processing this shard's sub-batch.
 type shard struct {
@@ -107,8 +113,8 @@ func (s *shard) stateFor(key packet.PathKey, hash uint64) *pathState {
 // process runs the shard's pending sub-batch through Algorithm 1 and
 // Algorithm 2, feeding each same-path run to the batch hooks so
 // per-packet dispatch is amortized. Observations stay in arrival
-// order, so the shard's per-path state evolves exactly as a serial
-// collector's would.
+// order, so the shard's per-path state evolves exactly as it would
+// under per-packet Observe.
 func (s *shard) process() {
 	recs := s.recs
 	off := 0
@@ -123,296 +129,4 @@ func (s *shard) process() {
 	}
 	s.runs = s.runs[:0]
 	s.recs = recs[:0]
-}
-
-// ShardedCollector is the multi-core data-plane module of one HOP: it
-// hash-partitions PathKeys across N single-threaded collector shards,
-// each owning its own path map, sampler and partitioner state, so the
-// per-packet path needs no locks. It implements PathCollector and is
-// receipt-for-receipt equivalent to a single Collector fed the same
-// observations (each path's stream lands wholly in one shard, in
-// arrival order).
-//
-// Concurrency model: Observe/ObserveBatch/Drain/Flush must be called
-// from one goroutine at a time (netsim's replay gives each HOP's
-// observer its own goroutine); inside ObserveBatch the shards process
-// their sub-batches concurrently and the call returns only when all
-// shards are done.
-type ShardedCollector struct {
-	cfg     CollectorConfig
-	backend backend
-	shards  []*shard
-	cache   [classifyCacheSize]classifyEntry
-	epoch   EpochID
-
-	// Dispatcher scratch, reused across ObserveBatch calls so the
-	// steady-state batch path allocates nothing.
-	busy []*shard
-	wg   sync.WaitGroup
-
-	// Recycled outer receipt slices for Drain/Flush (see Recycle).
-	spareSamples []receipt.SampleReceipt
-	spareAggs    []receipt.AggReceipt
-
-	observed     uint64
-	unclassified uint64
-}
-
-// NewShardedCollector builds a sharded collector with
-// resolveShards(cfg.Shards) shards (0 = GOMAXPROCS).
-func NewShardedCollector(cfg CollectorConfig) (*ShardedCollector, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	n := resolveShards(cfg.Shards)
-	c := &ShardedCollector{cfg: cfg, shards: make([]*shard, n)}
-	c.backend = newBackend(&c.cfg)
-	for i := range c.shards {
-		c.shards[i] = &shard{cfg: &c.cfg, backend: &c.backend, paths: make(map[packet.PathKey]*pathState)}
-	}
-	return c, nil
-}
-
-// NumShards returns the shard count.
-func (c *ShardedCollector) NumShards() int { return len(c.shards) }
-
-// HOP returns the collector's HOP identity.
-func (c *ShardedCollector) HOP() receipt.HOPID { return c.cfg.HOP }
-
-// classify resolves a packet's PathKey, shard and path hash through
-// the direct-mapped cache, falling back to the prefix table's
-// longest-prefix match on a miss.
-func (c *ShardedCollector) classify(pkt *packet.Packet) (key packet.PathKey, hash uint64, sh uint32, ok bool) {
-	addrs := uint64(binary.BigEndian.Uint32(pkt.Src[:]))<<32 | uint64(binary.BigEndian.Uint32(pkt.Dst[:]))
-	e := &c.cache[hashing.Mix64(addrs)&(classifyCacheSize-1)]
-	if e.valid && e.addrs == addrs {
-		return e.key, e.hash, e.shard, e.ok
-	}
-	key, ok = c.cfg.Table.Classify(pkt)
-	e.addrs, e.valid, e.ok = addrs, true, ok
-	if ok {
-		hash = pathKeyHash(key)
-		sh = uint32(hash % uint64(len(c.shards)))
-		e.key, e.hash, e.shard = key, hash, sh
-	}
-	return key, hash, sh, ok
-}
-
-// Observe processes one packet observation — the single-packet
-// compatibility shim. It runs the owning shard inline.
-//
-//vpm:hotpath
-func (c *ShardedCollector) Observe(pkt *packet.Packet, digest uint64, tNS int64) {
-	c.observed++
-	key, hash, sh, ok := c.classify(pkt)
-	if !ok {
-		c.unclassified++
-		return
-	}
-	st := c.shards[sh].stateFor(key, hash)
-	st.touched = true
-	st.part.Observe(digest, tNS)
-	st.sampler.Observe(digest, tNS)
-}
-
-// ObserveBatch processes a batch of observations: the dispatcher
-// classifies and partitions the batch into per-shard sub-batches
-// (preserving arrival order within each shard), then the busy shards
-// run concurrently, one goroutine each.
-//
-//vpm:hotpath
-func (c *ShardedCollector) ObserveBatch(batch []netsim.Observation) {
-	c.observed += uint64(len(batch))
-	for i := range batch {
-		key, hash, sh, ok := c.classify(batch[i].Pkt)
-		if !ok {
-			c.unclassified++
-			continue
-		}
-		s := c.shards[sh]
-		s.recs = append(s.recs, receipt.SampleRecord{PktID: batch[i].Digest, TimeNS: batch[i].TimeNS})
-		if n := len(s.runs); n > 0 {
-			if r := &s.runs[n-1]; r.hash == hash && r.key == key {
-				r.n++
-				continue
-			}
-		}
-		s.runs = append(s.runs, shardRun{key: key, hash: hash, n: 1})
-	}
-	busy := c.busy[:0]
-	for _, s := range c.shards {
-		if len(s.recs) > 0 {
-			busy = append(busy, s)
-		}
-	}
-	c.busy = busy
-	if len(busy) == 0 {
-		return
-	}
-	// The dispatcher processes the last busy shard itself instead of
-	// parking in Wait — one fewer goroutine handoff per batch. The
-	// workers run a plain method with explicit arguments (no closure)
-	// so spawning them allocates nothing in steady state.
-	for _, s := range busy[:len(busy)-1] {
-		c.wg.Add(1)
-		go c.runShard(s)
-	}
-	busy[len(busy)-1].process()
-	c.wg.Wait()
-}
-
-// runShard processes one shard's sub-batch on a worker goroutine.
-func (c *ShardedCollector) runShard(s *shard) {
-	s.process()
-	c.wg.Done()
-}
-
-// Drain returns the receipts finalized since the last Drain across
-// all shards, merged per path via the ⊎ combination operators and
-// sorted by PathID — identical runs drain identical receipt
-// sequences, and a sharded drain is byte-identical to a serial one.
-//
-//vpm:hotpath
-func (c *ShardedCollector) Drain() ([]receipt.SampleReceipt, []receipt.AggReceipt) {
-	samples, aggs := c.takeSpares()
-	for _, s := range c.shards {
-		evicted := false
-		for key, st := range s.paths {
-			var evict bool
-			samples, aggs, evict = drainPath(st, c.cfg.EvictIdleEpochs, samples, aggs)
-			if evict {
-				delete(s.paths, key)
-				evicted = true
-			}
-		}
-		if evicted {
-			// The state memo holds raw *pathState pointers; a stale hit
-			// on an evicted path would resurrect state the path map no
-			// longer drains. Eviction epochs are rare, so a wholesale
-			// clear beats per-entry bookkeeping.
-			s.memo = [stateMemoSize]stateMemoEntry{}
-		}
-	}
-	samples = mergeSamplesByPath(samples)
-	sortReceipts(samples, aggs)
-	return samples, aggs
-}
-
-// takeSpares hands out the recycled outer receipt slices (nil when the
-// caller never recycles — the allocating, always-safe default).
-func (c *ShardedCollector) takeSpares() ([]receipt.SampleReceipt, []receipt.AggReceipt) {
-	samples, aggs := c.spareSamples, c.spareAggs
-	c.spareSamples, c.spareAggs = nil, nil
-	return samples, aggs
-}
-
-// Flush finalizes all shards' open state and returns the remaining
-// receipts, in the same deterministic order as Drain.
-func (c *ShardedCollector) Flush() ([]receipt.SampleReceipt, []receipt.AggReceipt) {
-	samples, aggs := c.takeSpares()
-	for _, s := range c.shards {
-		for _, st := range s.paths {
-			flushed := st.part.Flush()
-			aggs = append(aggs, flushed...)
-			st.part.Recycle(flushed)
-			if recs := st.sampler.Take(); len(recs) > 0 {
-				samples = append(samples, receipt.SampleReceipt{Path: st.id, Samples: recs})
-			}
-		}
-	}
-	samples = mergeSamplesByPath(samples)
-	sortReceipts(samples, aggs)
-	return samples, aggs
-}
-
-// Recycle hands the buffers of a previous Drain/Flush result back for
-// reuse: the outer slices return to the dispatcher, each receipt's
-// record buffer to its owning shard's sampler. Safe only when nothing
-// retains the result (see PathCollector.Recycle).
-func (c *ShardedCollector) Recycle(samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) {
-	for i := range samples {
-		key := samples[i].Path.Key
-		s := c.shards[pathKeyHash(key)%uint64(len(c.shards))]
-		if st, ok := s.paths[key]; ok {
-			st.sampler.Recycle(samples[i].Samples)
-		}
-	}
-	if cap(samples) > cap(c.spareSamples) {
-		c.spareSamples = samples[:0]
-	}
-	if cap(aggs) > cap(c.spareAggs) {
-		c.spareAggs = aggs[:0]
-	}
-}
-
-// DrainSketches seals and returns the streaming sketches of every path
-// that sampled at least one packet since the last call, PathID-sorted
-// across shards. Ownership passes to the caller; return them via
-// SketchPool().Put.
-func (c *ShardedCollector) DrainSketches() []*streamagg.PathSketch {
-	var out []*streamagg.PathSketch
-	for _, s := range c.shards {
-		for _, st := range s.paths {
-			if st.sketch != nil {
-				out = append(out, st.sketch)
-				st.sketch = nil
-			}
-		}
-	}
-	sortSketches(out)
-	return out
-}
-
-// SketchPool returns the pool sealed sketches recycle through (nil
-// under BackendExact).
-func (c *ShardedCollector) SketchPool() *streamagg.Pool { return c.backend.pool }
-
-// mergeSamplesByPath combines sample receipts that share a PathID via
-// receipt.CombineSamples, upholding Drain's one-receipt-per-path
-// contract. With an injective PathID builder (the documented
-// requirement) duplicates cannot occur; the merge keeps serial and
-// sharded drains behaving identically even if a caller breaks it.
-func mergeSamplesByPath(samples []receipt.SampleReceipt) []receipt.SampleReceipt {
-	//lint:ignore hotpath one dedup map per drain, not per packet
-	byPath := make(map[receipt.PathID]int, len(samples))
-	out := samples[:0]
-	for _, s := range samples {
-		if i, ok := byPath[s.Path]; ok {
-			merged, err := receipt.CombineSamples(out[i], s)
-			if err != nil {
-				// Unreachable: entries are grouped by identical
-				// PathID, the only error CombineSamples has. Loud is
-				// better than silently dropping measurements.
-				panic(err)
-			}
-			out[i] = merged
-			continue
-		}
-		byPath[s.Path] = len(out)
-		out = append(out, s)
-	}
-	return out
-}
-
-// Memory reports the §7.1 memory accounting aggregated across shards:
-// path counts and cache bytes sum, the temp-buffer peak is the
-// per-shard maximum (each shard owns its own buffers).
-func (c *ShardedCollector) Memory() MemoryStats {
-	var m MemoryStats
-	for _, s := range c.shards {
-		m.ActivePaths += len(s.paths)
-		m.MonitoringCacheBytes += len(s.paths) * receipt.BaseAggReceiptBytes
-		for _, st := range s.paths {
-			if hw := st.sampler.TempHighWater(); hw > m.TempBufferPeakEntries {
-				m.TempBufferPeakEntries = hw
-			}
-		}
-	}
-	m.TempBufferPeakBytes = m.TempBufferPeakEntries * receipt.SampleRecordBytes
-	return m
-}
-
-// Stats returns (packets observed, packets that matched no prefix).
-func (c *ShardedCollector) Stats() (observed, unclassified uint64) {
-	return c.observed, c.unclassified
 }

@@ -2,12 +2,17 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
+	"vpm/internal/aggregation"
+	"vpm/internal/hashing"
 	"vpm/internal/netsim"
 	"vpm/internal/packet"
 	"vpm/internal/receipt"
+	"vpm/internal/sampling"
 	"vpm/internal/trace"
 )
 
@@ -62,8 +67,80 @@ func encodeReceipts(samples []receipt.SampleReceipt, aggs []receipt.AggReceipt) 
 	return b
 }
 
-// TestShardedSerialEquivalence is the acceptance check of the sharded
-// pipeline: a sharded deployment (4 shards) and a serial deployment
+// oracleCollector is the per-packet reference the Collector is checked
+// against: packet.Table.Classify straight into a map of per-path
+// sampling.Sampler and aggregation.Partitioner, with no classification
+// cache, no state memo, no run-length sub-batches and no shards.
+type oracleCollector struct {
+	cfg          CollectorConfig
+	paths        map[packet.PathKey]*oraclePath
+	observed     uint64
+	unclassified uint64
+}
+
+type oraclePath struct {
+	id      receipt.PathID
+	sampler *sampling.Sampler
+	part    *aggregation.Partitioner
+}
+
+func (o *oracleCollector) Observe(pkt *packet.Packet, digest uint64, tNS int64) {
+	o.observed++
+	key, ok := o.cfg.Table.Classify(pkt)
+	if !ok {
+		o.unclassified++
+		return
+	}
+	p, ok := o.paths[key]
+	if !ok {
+		id := o.cfg.PathID(key)
+		p = &oraclePath{id: id, sampler: sampling.New(o.cfg.Sampling), part: aggregation.New(o.cfg.Aggregation, id)}
+		o.paths[key] = p
+	}
+	p.part.Observe(digest, tNS)
+	p.sampler.Observe(digest, tNS)
+}
+
+// drain returns the receipts finalized so far (all open state too when
+// flush is set) as wire bytes: sample receipts by PathID, then each
+// path's aggregates in stream order, paths by PathID.
+func (o *oracleCollector) drain(flush bool) []byte {
+	var samples []receipt.SampleReceipt
+	var aggs []receipt.AggReceipt
+	for _, p := range o.paths {
+		if flush {
+			aggs = append(aggs, p.part.Flush()...)
+		} else {
+			aggs = append(aggs, p.part.Take()...)
+		}
+		if recs := p.sampler.Take(); len(recs) > 0 {
+			samples = append(samples, receipt.SampleReceipt{Path: p.id, Samples: recs})
+		}
+	}
+	sort.Slice(samples, func(a, b int) bool { return samples[a].Path.Compare(samples[b].Path) < 0 })
+	sort.SliceStable(aggs, func(a, b int) bool { return aggs[a].Path.Compare(aggs[b].Path) < 0 })
+	return encodeReceipts(samples, aggs)
+}
+
+func (o *oracleCollector) memory() MemoryStats {
+	m := MemoryStats{ActivePaths: len(o.paths), MonitoringCacheBytes: len(o.paths) * receipt.BaseAggReceiptBytes}
+	for _, p := range o.paths {
+		m.TempBufferPeakEntries = max(m.TempBufferPeakEntries, p.sampler.TempHighWater())
+	}
+	m.TempBufferPeakBytes = m.TempBufferPeakEntries * receipt.SampleRecordBytes
+	return m
+}
+
+// oracleCheckpoint is the reference state after one drain: the drained
+// wire bytes plus the counters and memory accounting at that point.
+type oracleCheckpoint struct {
+	wire                   []byte
+	observed, unclassified uint64
+	mem                    MemoryStats
+}
+
+// TestShardedSerialEquivalence is the deployment-level check of the
+// sharded pipeline: a one-shard deployment and a four-shard deployment
 // fed the same 100k-packet trace emit byte-identical receipt sets at
 // every HOP, with matching counters and memory accounting.
 func TestShardedSerialEquivalence(t *testing.T) {
@@ -80,17 +157,15 @@ func TestShardedSerialEquivalence(t *testing.T) {
 	sharded, resP := runDeployment(t, tc, pkts, 4)
 
 	if !reflect.DeepEqual(resS, resP) {
-		t.Fatal("ground truth differs between serial and sharded runs")
+		t.Fatal("ground truth differs between one-shard and four-shard runs")
 	}
 	for id, sc := range serial.Collectors {
 		pc, ok := sharded.Collectors[id]
 		if !ok {
 			t.Fatalf("sharded deployment missing %v", id)
 		}
-		if shc, ok := pc.(*ShardedCollector); !ok {
-			t.Fatalf("%v: expected a ShardedCollector, got %T", id, pc)
-		} else if shc.NumShards() != 4 {
-			t.Fatalf("%v: expected 4 shards, got %d", id, shc.NumShards())
+		if sc.NumShards() != 1 || pc.NumShards() != 4 {
+			t.Fatalf("%v: built %d and %d shards, want 1 and 4", id, sc.NumShards(), pc.NumShards())
 		}
 		so, su := sc.Stats()
 		po, pu := pc.Stats()
@@ -118,9 +193,129 @@ func TestShardedSerialEquivalence(t *testing.T) {
 	}
 }
 
+// TestCollectorMatchesOracle is the acceptance check of the collector:
+// at 1, 2, 4 and 8 shards, fed per packet through Observe and in
+// replay-sized batches through ObserveBatch, it drains byte-identical
+// receipts to the per-packet oracle at every mid-stream Drain and at
+// the final Flush, with matching counters and memory accounting. The
+// ~100k-packet workload spans six paths, carries unclassifiable
+// packets, and spaces timestamps irregularly (non-decreasing, as
+// Partitioner requires, with occasional ties).
+func TestCollectorMatchesOracle(t *testing.T) {
+	tc := equivTraceConfig(6, 100_000, int64(1e9))
+	pkts, err := trace.Generate(tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkts) < 90_000 {
+		t.Fatalf("trace too small for the acceptance scale: %d packets", len(pkts))
+	}
+	cfg := CollectorConfig{
+		HOP:   4,
+		Table: tc.Table(),
+		PathID: func(key packet.PathKey) receipt.PathID {
+			return receipt.PathID{Key: key, PrevHOP: 3, NextHOP: 5, MaxDiffNS: 3_000_000}
+		},
+		Sampling:    DefaultSamplingConfig(),
+		Aggregation: DefaultAggregationConfig(),
+	}
+
+	// An unclassifiable packet interleaved every 1000 packets.
+	alien := pkts[0]
+	alien.Src = [4]byte{192, 0, 2, 1}
+	alien.Dst = [4]byte{198, 51, 100, 1}
+	var obs []netsim.Observation
+	var tNS int64
+	for i := range pkts {
+		tNS += int64(hashing.Mix64(uint64(i)) % 20_000)
+		obs = append(obs, netsim.Observation{Pkt: &pkts[i], Digest: pkts[i].Digest(1), TimeNS: tNS})
+		if i%1000 == 999 {
+			obs = append(obs, netsim.Observation{Pkt: &alien, Digest: alien.Digest(1), TimeNS: tNS})
+		}
+	}
+	// Drain every drainEvery observations, Flush at the end.
+	const drainEvery = 25_000
+	segments := func(yield func(seg []netsim.Observation, last bool)) {
+		for off := 0; off < len(obs); off += drainEvery {
+			end := min(off+drainEvery, len(obs))
+			yield(obs[off:end], end == len(obs))
+		}
+	}
+
+	oracle := &oracleCollector{cfg: cfg, paths: make(map[packet.PathKey]*oraclePath)}
+	var want []oracleCheckpoint
+	segments(func(seg []netsim.Observation, last bool) {
+		for _, o := range seg {
+			oracle.Observe(o.Pkt, o.Digest, o.TimeNS)
+		}
+		cp := oracleCheckpoint{mem: oracle.memory()}
+		cp.wire = oracle.drain(last)
+		cp.observed, cp.unclassified = oracle.observed, oracle.unclassified
+		want = append(want, cp)
+	})
+	if want[len(want)-1].unclassified == 0 {
+		t.Fatal("test expected unclassified packets")
+	}
+	if n := want[len(want)-1].mem.ActivePaths; n != 6 {
+		t.Fatalf("oracle holds %d active paths, want 6", n)
+	}
+
+	feeds := map[string]func(col *Collector, seg []netsim.Observation){
+		"Observe": func(col *Collector, seg []netsim.Observation) {
+			for _, o := range seg {
+				col.Observe(o.Pkt, o.Digest, o.TimeNS)
+			}
+		},
+		"ObserveBatch": func(col *Collector, seg []netsim.Observation) {
+			for off := 0; off < len(seg); off += netsim.ReplayBatchSize {
+				col.ObserveBatch(seg[off:min(off+netsim.ReplayBatchSize, len(seg))])
+			}
+		},
+	}
+	for _, shards := range []int{1, 2, 4, 8} {
+		for _, name := range []string{"Observe", "ObserveBatch"} {
+			feed := feeds[name]
+			t.Run(fmt.Sprintf("shards=%d/%s", shards, name), func(t *testing.T) {
+				cfg := cfg
+				cfg.Shards = shards
+				col, err := NewCollector(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if col.NumShards() != shards {
+					t.Fatalf("built %d shards, want %d", col.NumShards(), shards)
+				}
+				i := 0
+				segments(func(seg []netsim.Observation, last bool) {
+					feed(col, seg)
+					cp := want[i]
+					if m := col.Memory(); m != cp.mem {
+						t.Errorf("drain %d: memory %+v, oracle %+v", i, m, cp.mem)
+					}
+					drain := col.Drain
+					if last {
+						drain = col.Flush
+					}
+					samples, aggs := drain()
+					if !bytes.Equal(encodeReceipts(samples, aggs), cp.wire) {
+						t.Errorf("drain %d: receipt wire bytes differ from the oracle", i)
+					}
+					// Hand the buffers back so later drains run on
+					// recycled storage, as the steady state does.
+					col.Recycle(samples, aggs)
+					if o, u := col.Stats(); o != cp.observed || u != cp.unclassified {
+						t.Errorf("drain %d: stats (%d,%d), oracle (%d,%d)", i, o, u, cp.observed, cp.unclassified)
+					}
+					i++
+				})
+			})
+		}
+	}
+}
+
 // TestDrainDeterminism is the regression test for the old
 // map-iteration drain order: two identical runs must produce identical
-// (ordered) drain output, for both collector variants.
+// (ordered) drain output, at one shard and at four.
 func TestDrainDeterminism(t *testing.T) {
 	tc := equivTraceConfig(5, 50_000, int64(400e6))
 	pkts, err := trace.Generate(tc)
@@ -148,9 +343,9 @@ func TestDrainDeterminism(t *testing.T) {
 }
 
 // TestShardedCollectorDirect exercises the collector layer without the
-// simulator: single-packet Observe on a serial collector versus
-// ObserveBatch on a sharded one must agree on receipts, counters and
-// active paths — including unclassified traffic.
+// simulator: single-packet Observe on a one-shard collector versus
+// ObserveBatch on an eight-shard one must agree on receipts, counters
+// and active paths — including unclassified traffic.
 func TestShardedCollectorDirect(t *testing.T) {
 	tc := equivTraceConfig(4, 40_000, int64(500e6))
 	pkts, err := trace.Generate(tc)
@@ -165,15 +360,19 @@ func TestShardedCollectorDirect(t *testing.T) {
 		},
 		Sampling:    DefaultSamplingConfig(),
 		Aggregation: DefaultAggregationConfig(),
+		Shards:      1,
 	}
 	serial, err := NewCollector(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Shards = 8
-	sharded, err := NewShardedCollector(cfg)
+	sharded, err := NewCollector(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if serial.NumShards() != 1 || sharded.NumShards() != 8 {
+		t.Fatalf("built %d and %d shards, want 1 and 8", serial.NumShards(), sharded.NumShards())
 	}
 
 	// An unclassifiable packet interleaved every 1000 packets.

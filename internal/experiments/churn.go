@@ -79,7 +79,7 @@ func Churn(totalKeys, epochs, pktsPerKey, shards int) (ChurnRow, error) {
 	table := churnTable(totalKeys)
 	cfg := ThroughputCollectorConfig(table, shards)
 	cfg.EvictIdleEpochs = ChurnEvictIdleEpochs
-	col, err := core.NewPathCollector(cfg)
+	col, err := core.NewCollector(cfg)
 	if err != nil {
 		return ChurnRow{}, err
 	}

@@ -77,6 +77,7 @@ func Click(cfg Config, n int) ([]ClickRow, error) {
 		},
 		Sampling:    core.DefaultSamplingConfig(),
 		Aggregation: core.DefaultAggregationConfig(),
+		Shards:      1,
 	})
 	if err != nil {
 		return nil, err

@@ -375,7 +375,7 @@ func RunContinuousOpts(cfg Config, ec core.EpochConfig, epochs int, opts Continu
 				return
 			}
 		}
-		verifyDone <- drainAndVerify()
+		verifyDone <- nil
 	}()
 
 	runner, err := netsim.NewRunner(path)
@@ -451,11 +451,17 @@ func RunContinuousOpts(cfg Config, ec core.EpochConfig, epochs int, opts Continu
 			timer.Stop()
 		}
 	}
+	// Stop the background verifier before sealing the terminal
+	// epochs: a sweep racing the seals could judge a tail epoch before
+	// FinishStream, against a different evidence rule than the final
+	// sweep, and the reports would depend on goroutine timing.
+	close(notify)
+	if err := <-verifyDone; err != nil {
+		return nil, err
+	}
 	// Deliver the replay observations withheld at the final boundary,
 	// then seal every HOP's terminal epoch.
 	if _, err := runner.Run(nil, observers); err != nil {
-		close(notify)
-		<-verifyDone
 		return nil, err
 	}
 	terminal := driver.Close()
@@ -463,8 +469,7 @@ func RunContinuousOpts(cfg Config, ec core.EpochConfig, epochs int, opts Continu
 	// Clean shutdown: no further epochs will seal, so the terminal
 	// epoch may be verified without waiting for a successor.
 	win.FinishStream()
-	close(notify)
-	if err := <-verifyDone; err != nil {
+	if err := drainAndVerify(); err != nil {
 		return nil, err
 	}
 	res.SampleReceipts = int(nSamples.Load())

@@ -1,9 +1,16 @@
 package experiments
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 
 	"vpm/internal/core"
+	"vpm/internal/fleet"
+	"vpm/internal/lossmodel"
+	"vpm/internal/netsim"
+	"vpm/internal/seqdetect"
+	"vpm/internal/stats"
 )
 
 // TestRunContinuous drives the full continuous pipeline — per-epoch
@@ -90,5 +97,83 @@ func TestEpochsRows(t *testing.T) {
 	}
 	if EpochsRender(rows, false) == "" || EpochsRender(rows, true) == "" {
 		t.Fatal("renderers returned nothing")
+	}
+}
+
+// TestFingerprintsIndependentOfGOMAXPROCS: with EpochConfig.Shards at
+// 0 each HOP collector's shard count (and with Workers at 0 the
+// verifier pools) follows GOMAXPROCS, which must not change one byte
+// of the verdict stream. The Fig1 arm carries one traffic key: domain
+// X is lossy and fabricates receipts, and the SPRT arm is on, so the
+// reports carry violations, blame and sequential verdicts. The mesh
+// arm (a small fleet reference world, also at Shards 0 and Workers 0)
+// spreads 64 keys over several shards and verifier workers, so drain
+// and verification order are exercised too.
+func TestFingerprintsIndependentOfGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	cfg := Config{Seed: 7, RatePPS: 50_000}
+	ec := core.EpochConfig{IntervalNS: 60_000_000, Retention: 2, Workers: 0, Shards: 0}
+	dc := matrixDeploy()
+	spec := fleet.Spec{Seed: 42, Domains: 8, ExtraLinks: 6, Keys: 64, Epochs: 3,
+		IntervalNS: 50_000_000, RatePPS: 60_000, Collectors: 1, Workers: 0}
+	encode := func(reports []core.EpochReport) []byte {
+		var stream []byte
+		for _, rep := range reports {
+			b, err := core.EncodeEpochReport(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stream = append(append(stream, b...), '\n')
+		}
+		return stream
+	}
+	var wantFig1, wantMesh []byte
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		sc := seqdetect.DefaultConfig()
+		res, err := RunContinuousOpts(cfg, ec, 6, ContinuousOptions{
+			Deploy: &dc,
+			MutatePath: func(p *netsim.Path) {
+				ge, err := lossmodel.FromTargetLoss(0.05, 8, stats.NewRNG(cfg.Seed+29))
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.Domains[p.DomainIndex("X")].Loss = ge
+			},
+			WrapSink: func(sink core.EpochSink) core.EpochSink {
+				return core.NewAdversarySink(sink, fabricatorForX(netsim.Fig1Path(cfg.Seed+1000)))
+			},
+			Sequential: &sc,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		world, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		meshReports, err := fleet.RunReference(world, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fig1, mesh := encode(res.Reports), encode(meshReports)
+		if wantFig1 == nil {
+			seq := 0
+			for _, rep := range res.Reports {
+				seq += len(rep.Seq)
+			}
+			if res.MatchedSamples == 0 || res.Violations == 0 || seq == 0 || !bytes.Contains(mesh, []byte(`"Keys"`)) {
+				t.Fatalf("GOMAXPROCS=%d: %d matched samples, %d violations, %d sequential verdicts, mesh keys reported: %v — the comparison would prove nothing",
+					procs, res.MatchedSamples, res.Violations, seq, bytes.Contains(mesh, []byte(`"Keys"`)))
+			}
+			wantFig1, wantMesh = fig1, mesh
+			continue
+		}
+		if !bytes.Equal(fig1, wantFig1) {
+			t.Errorf("GOMAXPROCS=%d: Fig1 epoch report stream differs from GOMAXPROCS=1", procs)
+		}
+		if !bytes.Equal(mesh, wantMesh) {
+			t.Errorf("GOMAXPROCS=%d: mesh epoch report stream differs from GOMAXPROCS=1", procs)
+		}
 	}
 }

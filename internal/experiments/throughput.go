@@ -17,9 +17,11 @@ import (
 // experiment: packets per second through a HOP collector in a given
 // configuration, plus the steady-state heap behavior of the full
 // observe → drain → encode → recycle cycle. Mode "serial" is the
-// pre-sharding hot path (single-packet Observe through the
-// netsim.Observer interface); "sharded" is the batched
-// ShardedCollector at Shards shards; "sharded-sketch" is the same
+// per-packet feed: single-packet Observe through the netsim.Observer
+// interface on a one-shard Collector (the label predates the single
+// collector and is kept so BENCH trajectories stay comparable);
+// "sharded" is the batched ObserveBatch feed at Shards shards;
+// "sharded-sketch" is the same
 // pipeline with the streaming sketch backend thinning retained
 // records. The JSON tags are the machine-readable schema
 // cmd/vpm-bench -json emits, so the perf trajectory can be tracked
@@ -130,9 +132,9 @@ type throughputMetrics struct {
 // runThroughput drives col through the steady-state measurement
 // protocol: warmup feed+drain passes, then measured passes timing the
 // observe path and metering heap allocations across the whole cycle
-// (feed, drain, arena-encode, recycle). batch <= 0 selects the serial
+// (feed, drain, arena-encode, recycle). batch <= 0 selects the
 // per-packet Observe feed.
-func runThroughput(col core.PathCollector, workload []netsim.Observation, batch int) throughputMetrics {
+func runThroughput(col *core.Collector, workload []netsim.Observation, batch int) throughputMetrics {
 	span := WorkloadSpan(workload)
 	feed := func() {
 		if batch <= 0 {
@@ -188,7 +190,8 @@ func runThroughput(col core.PathCollector, workload []netsim.Observation, batch 
 }
 
 // Throughput measures the collector data plane on the Fig1 foreground
-// workload: the serial per-packet baseline, the sharded batch pipeline
+// workload: the per-packet baseline ("serial": Observe on one shard),
+// the batch pipeline
 // at each of shardCounts (default 1, 2, 4, 8), and the sketch backend
 // at the largest shard count.
 func Throughput(cfg Config, shardCounts []int) ([]ThroughputRow, error) {
@@ -214,7 +217,7 @@ func Throughput(cfg Config, shardCounts []int) ([]ThroughputRow, error) {
 	rows = append(rows, throughputRow("serial", 1, runThroughput(serial, workload, 0)))
 
 	for _, shards := range shardCounts {
-		col, err := core.NewShardedCollector(ThroughputCollectorConfig(tc.Table(), shards))
+		col, err := core.NewCollector(ThroughputCollectorConfig(tc.Table(), shards))
 		if err != nil {
 			return nil, err
 		}
@@ -222,7 +225,7 @@ func Throughput(cfg Config, shardCounts []int) ([]ThroughputRow, error) {
 	}
 
 	maxShards := shardCounts[len(shardCounts)-1]
-	sk, err := core.NewShardedCollector(SketchCollectorConfig(tc.Table(), maxShards))
+	sk, err := core.NewCollector(SketchCollectorConfig(tc.Table(), maxShards))
 	if err != nil {
 		return nil, err
 	}

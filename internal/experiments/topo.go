@@ -302,9 +302,9 @@ func topoScenarioRows(cfg Config, f topoFamily, faulty bool, shardCounts, worker
 	var rows []TopoRow
 	wantFP := ""
 	for _, shards := range shardCounts {
-		// The simulated world is rebuilt per shard count — sharded and
-		// serial collectors must produce identical receipts, which the
-		// fingerprint equality below re-proves on every sweep.
+		// The simulated world is rebuilt per shard count — every shard
+		// count must produce identical receipts, which the fingerprint
+		// equality below re-proves on every sweep.
 		world, fault, err := runTopoWorld(cfg, f, faulty, shards, nil)
 		if err != nil {
 			return nil, err

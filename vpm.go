@@ -22,18 +22,17 @@
 // # Concurrency and sharding
 //
 // The collection pipeline is sharded for multi-core throughput. A
-// Collector is one single-threaded shard of a HOP's data plane; a
-// ShardedCollector hash-partitions origin-prefix paths across N such
-// shards, each owning its own path map, sampler and partitioner
-// state, so the per-packet path takes no locks. Observers can receive
+// HOP's Collector hash-partitions origin-prefix paths across N shards,
+// each owning its own path map, sampler and partitioner state, so the
+// per-packet path takes no locks; a one-shard collector runs inline on
+// the caller's goroutine. Observers can receive
 // traffic either packet-at-a-time (Observe) or in arrival-order
 // batches (ObserveBatch, the BatchObserver interface), which
 // amortizes dispatch and classification; the simulator replays each
 // HOP's observations concurrently with every other HOP's, in batches.
-// DeployConfig.Shards selects the parallelism per HOP (0 = GOMAXPROCS,
-// 1 = serial); sharded and serial deployments produce byte-identical
-// receipts for the same traffic, and both drain receipts in
-// deterministic PathID-sorted order.
+// DeployConfig.Shards sets the shard count per HOP (0 = GOMAXPROCS,
+// N = N shards); every shard count produces byte-identical receipts
+// for the same traffic, drained in deterministic PathID-sorted order.
 //
 // # Verification
 //
@@ -169,14 +168,9 @@ func CombineAggregates(rs ...AggReceipt) (AggReceipt, error) {
 
 // Protocol stack.
 type (
-	// Collector is the per-HOP data-plane module (one shard's worth).
+	// Collector is the per-HOP data-plane module, hash-partitioned
+	// across CollectorConfig.Shards shards.
 	Collector = core.Collector
-	// ShardedCollector hash-partitions paths across N collector
-	// shards for multi-core throughput.
-	ShardedCollector = core.ShardedCollector
-	// PathCollector is the data-plane surface both Collector and
-	// ShardedCollector implement.
-	PathCollector = core.PathCollector
 	// CollectorConfig configures a collector.
 	CollectorConfig = core.CollectorConfig
 	// Processor is the per-HOP control-plane module.
@@ -323,22 +317,12 @@ func ShaveDelays(ingress, egress SampleReceipt, factor float64) SampleReceipt {
 	return core.ShaveDelays(ingress, egress, factor)
 }
 
-// NewCollector builds a standalone single-threaded collector.
+// NewCollector builds a standalone collector with cfg.Shards shards
+// (0 = GOMAXPROCS).
 func NewCollector(cfg CollectorConfig) (*Collector, error) { return core.NewCollector(cfg) }
 
-// NewShardedCollector builds a standalone sharded collector with
-// cfg.Shards shards (0 = GOMAXPROCS).
-func NewShardedCollector(cfg CollectorConfig) (*ShardedCollector, error) {
-	return core.NewShardedCollector(cfg)
-}
-
-// NewPathCollector builds the collector variant cfg.Shards selects.
-func NewPathCollector(cfg CollectorConfig) (PathCollector, error) {
-	return core.NewPathCollector(cfg)
-}
-
 // NewProcessor attaches a control-plane processor to a collector.
-func NewProcessor(c PathCollector) *Processor { return core.NewProcessor(c) }
+func NewProcessor(c *Collector) *Processor { return core.NewProcessor(c) }
 
 // NewDeployment wires collectors onto every HOP of a path.
 func NewDeployment(p *Path, table *PrefixTable, cfg DeployConfig) (*Deployment, error) {
@@ -541,7 +525,7 @@ type (
 
 // NewEpochCollector wraps a collector in an epoch clock of the given
 // interval feeding sink.
-func NewEpochCollector(col PathCollector, intervalNS int64, sink EpochSink) (*EpochCollector, error) {
+func NewEpochCollector(col *Collector, intervalNS int64, sink EpochSink) (*EpochCollector, error) {
 	return core.NewEpochCollector(col, intervalNS, sink)
 }
 
