@@ -4,46 +4,51 @@ import (
 	"fmt"
 
 	"vpm/internal/aggregation"
-	"vpm/internal/packet"
 	"vpm/internal/quantile"
 	"vpm/internal/receipt"
 	"vpm/internal/seqdetect"
 )
 
-// This file implements the per-epoch (scoped) forms of the §4 link
-// check and the per-domain estimates that rolling verification runs as
-// each interval seals.
+// This file implements the §4 link check and the per-domain estimates
+// once, for both batch verification and rolling per-epoch verification.
 //
-// Per-epoch verification cannot simply run CheckLink over one epoch's
-// receipts: receipts for the same packet legitimately seal in adjacent
-// epochs at different HOPs. A sample is sealed in the epoch of its
-// *deciding marker* (Algorithm 1 decides a packet only when the next
-// marker arrives), and the same marker crosses each HOP at a slightly
-// different local time; likewise an aggregate seals where its cutting
-// point lands. The skew is bounded by one interval (marker transit and
-// propagation delay are far below any sane epoch length), so the
-// scoped check works on two scopes:
+// A check works on two scopes:
 //
-//   - claims — the receipts sealed in the target epoch: the records
-//     this epoch's report vouches for, each attributed to exactly one
-//     epoch;
-//   - evidence — the ±1-epoch view around the target, which contains
-//     the counterpart records of every claim.
+//   - claims — the receipts whose records the check judges, each
+//     record judged exactly once;
+//   - evidence (the view) — the receipts the claims are matched
+//     against.
+//
+// A batch check (Verifier.CheckLink, Verifier.DomainReport) judges the
+// whole stream: its claims are its view, and no edge is left to trim.
+//
+// Per-epoch verification cannot simply run the batch check over one
+// epoch's receipts: receipts for the same packet legitimately seal in
+// adjacent epochs at different HOPs. A sample is sealed in the epoch of
+// its *deciding marker* (Algorithm 1 decides a packet only when the
+// next marker arrives), and the same marker crosses each HOP at a
+// slightly different local time; likewise an aggregate seals where its
+// cutting point lands. The skew is bounded by one interval (marker
+// transit and propagation delay are far below any sane epoch length),
+// so a per-epoch check's claims are the receipts sealed in the target
+// epoch and its view is the ±1-epoch window around it, which contains
+// the counterpart records of every claim.
 //
 // Missing-record judgments iterate the claims but match against the
-// evidence, so boundary spill never reads as a lie, while every record
-// is still judged exactly once — in the epoch that sealed it.
-// Aggregate counts are compared only over regions bounded by cutting
-// points common to both ends within the evidence window (Join's
-// half-open edge regions are trimmed); the untrimmed full-stream
-// comparison is exactly the batch verdict, which continuous operation
-// reproduces byte-for-byte when epochs are unioned
-// (TestBatchContinuousEquivalence).
+// evidence, so boundary spill never reads as a lie. Per-epoch aggregate
+// counts are compared only over regions bounded by cutting points
+// common to both ends within the view (Join's half-open edge regions
+// are trimmed); the untrimmed whole-stream comparison is the batch
+// verdict, which continuous operation reproduces byte-for-byte when
+// epochs are unioned (TestBatchContinuousEquivalence).
 
-// epochScope bundles the two scopes of one epoch's verification.
-type epochScope struct {
-	view   *Verifier // evidence: ±1-epoch window, configured
-	claims *ReceiptStore
+// checkScope bundles the two scopes of one verification.
+type checkScope struct {
+	view *Verifier // evidence, configured
+	// claims resolves the records the check judges. A whole-stream
+	// scope's claims are a copy of the view; a per-epoch scope's read
+	// the target epoch's receipts for the view's traffic key.
+	claims Verifier
 	// headComplete reports that the view's lower edge is the true
 	// stream start (epoch 0 is inside the view): nothing precedes the
 	// first joined pair, so no patch-up evidence is missing at its
@@ -60,13 +65,19 @@ type epochScope struct {
 	seq *seqCollector
 }
 
-// epochLinkCheck is the scoped §4 link check: MaxDiff agreement, the
-// timestamp bound and missing-record checks for the packets claimed in
-// the target epoch, and aggregate-count equality over commonly-bounded
-// regions of the evidence window.
-func (s *epochScope) epochLinkCheck(key packet.PathKey, linkID int, up, down receipt.HOPID) LinkVerdict {
+// wholeStream returns the batch scope over v: the claims are the view.
+func (v *Verifier) wholeStream() *checkScope {
+	return &checkScope{view: v, claims: *v}
+}
+
+// linkCheck is the §4 link check: MaxDiff agreement, the timestamp
+// bound and missing-record checks for the claimed packets, and
+// aggregate-count equality over the joined aggregates the scope can
+// judge. Packets are visited in each HOP's first-arrival order, so the
+// verdict — including the order of its violations — is deterministic.
+func (s *checkScope) linkCheck(up, down receipt.HOPID) LinkVerdict {
 	v := s.view
-	lv := LinkVerdict{LinkID: linkID, Up: up, Down: down}
+	lv := LinkVerdict{Up: up, Down: down}
 	iu, id := v.indexFor(up), v.indexFor(down)
 	pu, hasU := iu.path()
 	pd, hasD := id.path()
@@ -78,8 +89,8 @@ func (s *epochScope) epochLinkCheck(key packet.PathKey, linkID int, up, down rec
 	}
 	maxDiff := pu.MaxDiffNS
 
-	cuUniq, _ := s.claims.lookup(up, key).snapshot()
-	cdUniq, _ := s.claims.lookup(down, key).snapshot()
+	cuUniq, _ := s.claims.indexFor(up).snapshot()
+	cdUniq, _ := s.claims.indexFor(down).snapshot()
 	_, su := iu.snapshot()
 	_, sd := id.snapshot()
 	// The sequential arm's trial streams, in claims order: linkItems
@@ -139,16 +150,16 @@ func (s *epochScope) epochLinkCheck(key packet.PathKey, linkID int, up, down rec
 		}
 	}
 	if s.seq != nil {
-		sc := seqLinkScope(key, up, down)
+		sc := seqLinkScope(v.key, up, down)
 		s.seq.add(sc, seqdetect.ClassLoss, linkItems)
 		s.seq.add(sc, seqdetect.ClassDelay, linkItems)
 		s.seq.add(sc, seqdetect.ClassFabricate, fabItems)
 	}
 	lv.MissingDown, lv.MissingUp = len(missingDown), len(missingUp)
-	// Symmetric §5.3 reorder noise at epoch granularity, absorbed by
-	// the same rule the batch CheckLink applies (absorbSymmetricNoise);
+	// Symmetric §5.3 reorder noise is absorbed before judging;
 	// asymmetric excess — real loss or lies — keeps its full weight
-	// (TestRollingVerifierFlagsFaultyLink).
+	// (TestCheckLinkSymmetricReorderNoise,
+	// TestRollingVerifierFlagsFaultyLink).
 	tol := v.missingTolerance(lv.MatchedSamples)
 	judgeDown, judgeUp := absorbSymmetricNoise(lv.MissingDown, lv.MissingUp, v.reorderNoiseFloor(up, down))
 	if judgeDown > tol {
@@ -168,25 +179,29 @@ func (s *epochScope) epochLinkCheck(key packet.PathKey, linkID int, up, down rec
 }
 
 // boundedPairs trims a joined sequence to the pairs whose packet
-// regions can actually be judged inside the evidence window:
+// regions can actually be judged inside the evidence window. A
+// whole-stream scope judges every pair: nothing lies outside its view.
+// A per-epoch scope keeps:
 //
 //   - Interior pairs — bounded by cutting points common to both HOPs,
-//     with a preceding pair in view — are always comparable: PatchUp
-//     already migrated reordered packets across both of their
-//     boundaries.
-//   - The head pair is comparable only when the view reaches the true
-//     stream start AND both sequences begin at the same packet;
-//     otherwise its leading boundary's patch-up evidence (the AggTrans
-//     of the preceding, out-of-view aggregate) is missing and a few
+//     with a preceding pair in view — always: PatchUp already migrated
+//     reordered packets across both of their boundaries.
+//   - The head pair only when the view reaches the true stream start
+//     AND both sequences begin at the same packet; otherwise its
+//     leading boundary's patch-up evidence (the AggTrans of the
+//     preceding, out-of-view aggregate) is missing and a few
 //     legitimately migrated packets would read as a count lie.
-//   - The tail pair is comparable only when nothing beyond the view
-//     can extend either sequence (stream finished inside the window).
+//   - The tail pair only when nothing beyond the view can extend
+//     either sequence (stream finished inside the window).
 //
 // Half-open edge regions compare receipts for different packet sets —
 // seal-epoch skew, not lies — and are left to the reports whose view
-// does bound them; the union-of-epochs batch check remains the
-// complete backstop.
-func (s *epochScope) boundedPairs(pairs []aggregation.Pair, a, b []receipt.AggReceipt) []aggregation.Pair {
+// does bound them; the whole-stream batch check remains the complete
+// backstop.
+func (s *checkScope) boundedPairs(pairs []aggregation.Pair, a, b []receipt.AggReceipt) []aggregation.Pair {
+	if s.claims.store == s.view.store {
+		return pairs
+	}
 	lo, hi := 0, len(pairs)
 	if !s.headComplete || a[0].Agg.First != b[0].Agg.First {
 		lo = 1
@@ -200,11 +215,28 @@ func (s *epochScope) boundedPairs(pairs []aggregation.Pair, a, b []receipt.AggRe
 	return pairs[lo:hi]
 }
 
-// epochDomainReport estimates one domain's loss and delay for the
-// target epoch: delays from the samples the egress HOP sealed in it
-// (each sample contributes to exactly one epoch's estimate), loss from
-// the commonly-bounded joined aggregates of the evidence window.
-func (s *epochScope) epochDomainReport(key packet.PathKey, seg Segment, qs []float64, confidence float64) (DomainReport, error) {
+// loss computes the aggregate-based loss between two HOPs via the §6
+// join + patch-up pipeline, totalled over the pairs the scope can
+// judge. It reports false when either HOP filed no aggregate receipts.
+func (s *checkScope) loss(a, b receipt.HOPID) (LossReport, bool) {
+	ra, rb := s.view.indexFor(a).aggReceipts(), s.view.indexFor(b).aggReceipts()
+	if len(ra) == 0 || len(rb) == 0 {
+		return LossReport{}, false
+	}
+	pairs := aggregation.Join(ra, rb)
+	rep := LossReport{Migrations: aggregation.PatchUp(pairs)}
+	rep.Pairs = s.boundedPairs(pairs, ra, rb)
+	for _, p := range rep.Pairs {
+		rep.In += int64(p.A.PktCnt)
+		rep.Lost += p.Lost()
+	}
+	return rep, true
+}
+
+// domainReport estimates one domain's loss and delay: delays from the
+// egress HOP's claimed samples (each sample contributes to exactly one
+// estimate), loss from the joined aggregates the scope can judge.
+func (s *checkScope) domainReport(seg Segment, qs []float64, confidence float64) (DomainReport, error) {
 	v := s.view
 	rep := DomainReport{Name: seg.Name, Ingress: seg.Up, Egress: seg.Down}
 
@@ -213,25 +245,18 @@ func (s *epochScope) epochDomainReport(key packet.PathKey, seg Segment, qs []flo
 		// of the key's packets, so aggregate counts are not comparable
 		// (see Segment.Partial). Delay estimates below still are.
 		rep.PartialLoss = true
-	} else if ra, rb := v.indexFor(seg.Up).aggReceipts(), v.indexFor(seg.Down).aggReceipts(); len(ra) > 0 && len(rb) > 0 {
-		pairs := aggregation.Join(ra, rb)
-		mig := aggregation.PatchUp(pairs)
-		bounded := s.boundedPairs(pairs, ra, rb)
-		rep.Loss = LossReport{Pairs: bounded, Migrations: mig}
-		for _, p := range bounded {
-			rep.Loss.In += int64(p.A.PktCnt)
-			rep.Loss.Lost += p.Lost()
-		}
+	} else if loss, ok := s.loss(seg.Up, seg.Down); ok {
+		rep.Loss = loss
 	}
 
-	cdUniq, _ := s.claims.lookup(seg.Down, key).snapshot()
+	cdUniq, _ := s.claims.indexFor(seg.Down).snapshot()
 	_, si := v.indexFor(seg.Up).snapshot()
 	_, se := v.indexFor(seg.Down).snapshot()
-	var delays []float64
+	delays := make([]float64, 0, len(cdUniq))
 	var biasItems []seqdetect.Evidence
 	// Without MarkerThreshold the marker/σ-sample split is unknown and
 	// no sequential bias stream is collected — the same precondition
-	// the batch CheckMarkerBias has.
+	// CheckMarkerBias has.
 	collectBias := s.seq != nil && v.cfg.MarkerThreshold != 0
 	for _, pid := range cdUniq {
 		if ti, ok := si[pid]; ok {
@@ -246,7 +271,7 @@ func (s *epochScope) epochDomainReport(key packet.PathKey, seg Segment, qs []flo
 		}
 	}
 	if collectBias {
-		s.seq.add(seqDomainScope(key, seg), seqdetect.ClassBias, biasItems)
+		s.seq.add(seqDomainScope(v.key, seg), seqdetect.ClassBias, biasItems)
 	}
 	rep.DelaySamples = len(delays)
 	if len(delays) > 0 {

@@ -577,3 +577,72 @@ func TestRollingVerifierFlagsFaultyLink(t *testing.T) {
 		t.Fatalf("lossy link flagged in only %d epoch reports", flagged)
 	}
 }
+
+// TestHeadAlignmentRule pins the one rule that separates a per-epoch
+// scope from the whole-stream check: when the stream's first packet is
+// lost on a link, the two HOPs' aggregate sequences begin at different
+// packets. The whole-stream check judges that head pair — the
+// downstream HOP really did count one packet fewer — while the epoch-0
+// report leaves it unjudged, because a head pair whose sides begin at
+// different packets may equally be seal-epoch skew.
+func TestHeadAlignmentRule(t *testing.T) {
+	key := packet.PathKey{
+		Src: packet.MakePrefix(10, 0, 0, 1, 32),
+		Dst: packet.MakePrefix(192, 0, 0, 1, 32),
+	}
+	layout := Layout{
+		HOPs:     []receipt.HOPID{1, 2},
+		Segments: []Segment{{Kind: LinkSegment, Up: 1, Down: 2, Name: "A-B", UpDomain: "A", DownDomain: "B"}},
+	}
+	agg := func(hop receipt.HOPID, first, last, cnt uint64) receipt.AggReceipt {
+		return receipt.AggReceipt{
+			Path:   receipt.PathID{Key: key, PrevHOP: hop - 1, NextHOP: hop + 1, MaxDiffNS: 1000},
+			Agg:    receipt.AggID{First: first, Last: last},
+			PktCnt: cnt,
+		}
+	}
+	// Packet 100 opens the stream and is lost on the link: the
+	// downstream HOP's first aggregate starts at 101 and counts one
+	// packet fewer. The second aggregate is whole on both sides.
+	up := []receipt.AggReceipt{agg(1, 100, 199, 10), agg(1, 200, 299, 10)}
+	down := []receipt.AggReceipt{agg(2, 101, 199, 9), agg(2, 200, 299, 10)}
+
+	countMismatches := func(lv LinkVerdict) int {
+		n := 0
+		for _, inc := range lv.Violations {
+			if inc.Kind == receipt.CountMismatch {
+				n++
+			}
+		}
+		return n
+	}
+
+	batch := NewVerifierFor(layout, key)
+	batch.AddAggReceipts(1, up)
+	batch.AddAggReceipts(2, down)
+	if got := countMismatches(batch.CheckLink(1, 2)); got != 1 {
+		t.Fatalf("whole-stream check: %d count mismatches, want 1 (the misaligned head pair)", got)
+	}
+
+	win, err := NewWindowedStore(layout.HOPs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := win.IngestSealed(1, 0, nil, up); err != nil {
+		t.Fatal(err)
+	}
+	if err := win.IngestSealed(2, 0, nil, down); err != nil {
+		t.Fatal(err)
+	}
+	win.FinishStream()
+	rep, err := NewRollingVerifier(layout, VerifierConfig{}, win, nil, 0).VerifyEpoch(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Keys) != 1 || len(rep.Keys[0].Links) != 1 {
+		t.Fatalf("epoch 0 report has %d keys, want 1 key with 1 link", len(rep.Keys))
+	}
+	if got := countMismatches(rep.Keys[0].Links[0]); got != 0 {
+		t.Fatalf("epoch-0 check judged the misaligned head pair: %d count mismatches, want 0", got)
+	}
+}

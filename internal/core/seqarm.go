@@ -7,8 +7,8 @@ import (
 	"vpm/internal/seqdetect"
 )
 
-// The sequential arm (VerifierConfig.Sequential) runs Wald SPRT /
-// Bayes-factor detectors concurrently with the per-epoch batch checks.
+// The sequential arm (VerifierConfig.Sequential) runs Wald SPRT
+// detectors concurrently with the per-epoch batch checks.
 // The batch checks stay the ground truth — their verdict bytes are
 // identical whether the arm is on or off — while the sequential arm
 // accumulates per-packet evidence across epochs and can flag a lying

@@ -436,8 +436,7 @@ func TestTopoDeploymentNewVerifier(t *testing.T) {
 // TestLinkDomainsHyphenNames is the regression test for the
 // linear-path-era "A-B" name splitting: a domain legitimately named
 // with a hyphen ("edge-1") used to be misattributed; explicit
-// UpDomain/DownDomain fields now carry the truth, with the name split
-// still honored for legacy layouts.
+// UpDomain/DownDomain fields now carry the truth.
 func TestLinkDomainsHyphenNames(t *testing.T) {
 	l := Layout{
 		HOPs: []receipt.HOPID{1, 2},
@@ -458,13 +457,6 @@ func TestLinkDomainsHyphenNames(t *testing.T) {
 	b := BlameHOP(l, 0, EvSignature, 1, 1, "x")
 	if len(b.Domains) != 1 || b.Domains[0] != "edge-1" {
 		t.Fatalf("BlameHOP domain: got %v, want [edge-1]", b.Domains)
-	}
-	// Legacy layout without explicit fields: the split fallback still
-	// answers (and documents the wrong answer hyphens would produce).
-	legacy := Layout{Segments: []Segment{{Kind: LinkSegment, Up: 1, Down: 2, Name: "A-B"}}}
-	up, down, ok = legacy.LinkDomains(0)
-	if !ok || up != "A" || down != "B" {
-		t.Fatalf("legacy fallback broken: got %q/%q ok=%v", up, down, ok)
 	}
 }
 

@@ -33,10 +33,9 @@ type Segment struct {
 	// Name is the domain name for DomainSegment, or "A-B" for links.
 	Name string
 	// UpDomain and DownDomain name the domains owning the Up and Down
-	// HOPs. Layout builders should set them; LinkDomains falls back to
-	// splitting Name on "-" when they are empty — a legacy path that
-	// breaks for domain names containing hyphens, which mesh
-	// topologies legitimately produce.
+	// HOPs — the names blame attribution reports. Layout builders must
+	// set them: Name alone cannot be split back into two domain names
+	// when a name contains a hyphen, which mesh topologies produce.
 	UpDomain, DownDomain string
 	// Partial marks a domain segment whose two HOPs see different
 	// subsets of a traffic key's packets — an ECMP branch or merge
@@ -401,17 +400,9 @@ func (r LossReport) Rate() float64 {
 // LossBetween computes the loss between two HOPs from their aggregate
 // receipts via the §6 join + patch-up pipeline.
 func (v *Verifier) LossBetween(a, b receipt.HOPID) (LossReport, error) {
-	ra := v.indexFor(a).aggReceipts()
-	rb := v.indexFor(b).aggReceipts()
-	if len(ra) == 0 || len(rb) == 0 {
+	rep, ok := v.wholeStream().loss(a, b)
+	if !ok {
 		return LossReport{}, fmt.Errorf("core: missing aggregate receipts between %v and %v", a, b)
-	}
-	pairs := aggregation.Join(ra, rb)
-	mig := aggregation.PatchUp(pairs)
-	rep := LossReport{Pairs: pairs, Migrations: mig}
-	for _, p := range pairs {
-		rep.In += int64(p.A.PktCnt)
-		rep.Lost += p.Lost()
 	}
 	return rep, nil
 }
@@ -469,8 +460,6 @@ func (v *Verifier) missingTolerance(matched int) int {
 // missing-record check absorbs: one flipped marker desynchronizes up
 // to a temporary buffer's worth of sampling decisions — σ/µ samples in
 // expectation per direction — and the floor covers a few such events.
-// Used by both the batch CheckLink and the per-epoch link checks, so
-// the two pipelines judge honest jitter identically.
 func (v *Verifier) reorderNoiseFloor(up, down receipt.HOPID) int {
 	mu := v.cfg.MarkerThreshold
 	if mu == 0 {
@@ -505,9 +494,7 @@ func (v *Verifier) reorderNoiseFloor(up, down receipt.HOPID) int {
 // suppressed records with k fabricated ones, k ≤ floor, hides 2k
 // records as noise — the same order as what the fractional tolerance
 // already forgives, and the paired fabrications still risk the
-// aggregate-count and delay-bound checks. The batch CheckLink and the
-// per-epoch epochLinkCheck share this one function so the two
-// pipelines can never drift apart in how they judge honest jitter.
+// aggregate-count and delay-bound checks.
 func absorbSymmetricNoise(missDown, missUp, floor int) (judgeDown, judgeUp int) {
 	sym := missDown
 	if missUp < sym {
@@ -535,79 +522,7 @@ func absorbSymmetricNoise(missDown, missUp, floor int) (judgeDown, judgeUp int) 
 // two neighbors then debug the link, and if it is healthy the liar
 // stands exposed to the neighbor it implicated (§3.1).
 func (v *Verifier) CheckLink(up, down receipt.HOPID) LinkVerdict {
-	lv := LinkVerdict{Up: up, Down: down}
-	iu, id := v.indexFor(up), v.indexFor(down)
-	pu, hasU := iu.path()
-	pd, hasD := id.path()
-	if hasU && hasD && pu.MaxDiffNS != pd.MaxDiffNS {
-		lv.Violations = append(lv.Violations, receipt.Inconsistency{
-			Kind:   receipt.MaxDiffMismatch,
-			Detail: fmt.Sprintf("%v advertises %dns, %v advertises %dns", up, pu.MaxDiffNS, down, pd.MaxDiffNS),
-		})
-	}
-	maxDiff := pu.MaxDiffNS
-
-	uUniq, su := iu.snapshot()
-	dUniq, sd := id.snapshot()
-	var missingDown, missingUp []receipt.Inconsistency
-	for _, pid := range uUniq {
-		tu := su[pid]
-		td, ok := sd[pid]
-		if !ok {
-			if v.expectedSampled(iu, down, pid) {
-				missingDown = append(missingDown, receipt.Inconsistency{
-					Kind:  receipt.MissingDownstream,
-					PktID: pid,
-					Detail: fmt.Sprintf("delivered by %v, unreported by %v",
-						up, down),
-				})
-			}
-			continue
-		}
-		lv.MatchedSamples++
-		if delta := td - tu; delta > maxDiff {
-			lv.Violations = append(lv.Violations, receipt.Inconsistency{
-				Kind:   receipt.DelayBound,
-				PktID:  pid,
-				Detail: fmt.Sprintf("link delta %dns exceeds MaxDiff %dns", delta, maxDiff),
-			})
-		}
-	}
-	for _, pid := range dUniq {
-		if _, ok := su[pid]; !ok {
-			if v.expectedSampled(id, up, pid) {
-				missingUp = append(missingUp, receipt.Inconsistency{
-					Kind:  receipt.MissingUpstream,
-					PktID: pid,
-					Detail: fmt.Sprintf("reported received by %v, never reported delivered by %v",
-						down, up),
-				})
-			}
-		}
-	}
-	lv.MissingDown, lv.MissingUp = len(missingDown), len(missingUp)
-	// Symmetric §5.3 reorder noise is absorbed before judging (see
-	// absorbSymmetricNoise); the mesh fixtures exposed that this batch
-	// check lacked the absorption the per-epoch check always had — an
-	// honest shared link under jitter could trip the one-sided
-	// tolerance (TestCheckLinkSymmetricReorderNoise).
-	tol := v.missingTolerance(lv.MatchedSamples)
-	judgeDown, judgeUp := absorbSymmetricNoise(lv.MissingDown, lv.MissingUp, v.reorderNoiseFloor(up, down))
-	if judgeDown > tol {
-		lv.Violations = append(lv.Violations, missingDown...)
-	}
-	if judgeUp > tol {
-		lv.Violations = append(lv.Violations, missingUp...)
-	}
-
-	// Aggregate counts across the link.
-	if ra, rb := iu.aggReceipts(), id.aggReceipts(); len(ra) > 0 && len(rb) > 0 {
-		pairs := aggregation.JoinAligned(ra, rb)
-		for _, p := range pairs {
-			lv.Violations = append(lv.Violations, receipt.CheckAggPair(p.A, p.B)...)
-		}
-	}
-	return lv
+	return v.wholeStream().linkCheck(up, down)
 }
 
 // expectedSampled reports whether HOP `other` must have sampled packet
@@ -692,7 +607,7 @@ func (v *Verifier) DomainReport(name string, qs []float64, confidence float64) (
 	if !ok {
 		return DomainReport{}, fmt.Errorf("core: no domain %q in layout", name)
 	}
-	return v.domainReport(seg, qs, confidence)
+	return v.wholeStream().domainReport(seg, qs, confidence)
 }
 
 // DomainReports estimates every transit domain on the path, in path
@@ -709,7 +624,7 @@ func (v *Verifier) DomainReports(qs []float64, confidence float64) ([]DomainRepo
 	out := make([]DomainReport, len(segs))
 	errs := make([]error, len(segs))
 	runParallel(resolveWorkers(v.cfg.Workers), len(segs), func(i int) {
-		out[i], errs[i] = v.domainReport(segs[i], qs, confidence)
+		out[i], errs[i] = v.wholeStream().domainReport(segs[i], qs, confidence)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -717,26 +632,4 @@ func (v *Verifier) DomainReports(qs []float64, confidence float64) ([]DomainRepo
 		}
 	}
 	return out, nil
-}
-
-// domainReport estimates one domain segment's loss and delay.
-func (v *Verifier) domainReport(seg Segment, qs []float64, confidence float64) (DomainReport, error) {
-	rep := DomainReport{Name: seg.Name, Ingress: seg.Up, Egress: seg.Down}
-	if seg.Partial {
-		rep.PartialLoss = true
-	} else if loss, err := v.LossBetween(seg.Up, seg.Down); err == nil {
-		rep.Loss = loss
-	}
-	delays := v.DelaysBetween(seg.Up, seg.Down)
-	rep.DelaySamples = len(delays)
-	if len(delays) > 0 {
-		ests, err := quantile.Quantiles(delays, qs, confidence)
-		if err != nil {
-			return rep, err
-		}
-		rep.DelayEstimates = ests
-	} else {
-		rep.DelayEstimateErr = "no matched samples"
-	}
-	return rep, nil
 }

@@ -615,7 +615,7 @@ func NewRollingVerifier(layout Layout, cfg VerifierConfig, win *WindowedStore, q
 // VerifyEpoch verifies one sealed epoch and marks it verified: every
 // traffic key with receipts sealed in the epoch gets the scoped §4
 // link checks and per-domain estimates (claims from the epoch,
-// evidence from the ±1 window — see epochverify.go). An epoch with no
+// evidence from the ±1 window — see check.go). An epoch with no
 // traffic yields an empty report. Keys within the report verify on a
 // VerifierConfig.Workers pool; reports are identical at any pool size.
 func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
@@ -687,9 +687,9 @@ func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 		key, layout := work[i].key, work[i].layout
 		v := NewVerifierOn(layout, view, key)
 		v.SetConfig(rv.cfg)
-		scope := &epochScope{
+		scope := &checkScope{
 			view:   v,
-			claims: claims,
+			claims: Verifier{store: claims, key: key, restricted: true},
 			// The view spans max(0, epoch−1)..epoch+1, so it reaches
 			// the stream start exactly when epoch ≤ 1.
 			headComplete: epoch <= 1,
@@ -703,10 +703,12 @@ func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
 			if work[i].skip[li] {
 				continue
 			}
-			kr.Links = append(kr.Links, scope.epochLinkCheck(key, li, l.Up, l.Down))
+			lv := scope.linkCheck(l.Up, l.Down)
+			lv.LinkID = li
+			kr.Links = append(kr.Links, lv)
 		}
 		for _, seg := range layout.DomainSegments() {
-			dr, err := scope.epochDomainReport(key, seg, rv.quantiles, rv.confidence)
+			dr, err := scope.domainReport(seg, rv.quantiles, rv.confidence)
 			if err != nil {
 				errs[i] = fmt.Errorf("core: epoch %d key %v: %w", epoch, key, err)
 				return

@@ -33,14 +33,9 @@ type Bundle struct {
 }
 
 // bundleMagic guards the canonical encoding. The last byte is the
-// layout version; '2' added the epoch tag to the header. Encode always
-// emits v2; DecodeBundle also accepts the pre-epoch v1 layout (no
-// epoch field, epoch 0 implied) so receipts archived by pre-epoch
-// deployments remain readable.
+// layout version; '2' added the epoch tag to the header. Any other
+// magic, the pre-epoch '1' included, is rejected as corrupt.
 var bundleMagic = [4]byte{'V', 'P', 'M', '2'}
-
-// bundleMagicV1 is the legacy pre-epoch encoding's magic.
-var bundleMagicV1 = [4]byte{'V', 'P', 'M', '1'}
 
 // ErrCorruptBundle reports a malformed bundle encoding.
 var ErrCorruptBundle = errors.New("dissem: corrupt bundle")
@@ -87,73 +82,22 @@ func (b *Bundle) Encode() []byte {
 	return b.AppendEncode(make([]byte, 0, b.WireSize()))
 }
 
-// EncodeV1 produces the legacy pre-epoch encoding — kept only so
-// round-trip tests and archived-receipt tooling can exercise the v1
-// decode path. The epoch tag does not exist in v1; encoding a bundle
-// with a non-zero Epoch returns an error instead of silently dropping
-// the tag from the signed bytes.
-func (b *Bundle) EncodeV1() ([]byte, error) {
-	if b.Epoch != 0 {
-		return nil, fmt.Errorf("dissem: v1 encoding cannot carry epoch %d", b.Epoch)
-	}
-	out := append([]byte{}, bundleMagicV1[:]...)
-	var hdr [20]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(b.Origin))
-	binary.LittleEndian.PutUint64(hdr[4:12], b.Seq)
-	binary.LittleEndian.PutUint32(hdr[12:16], uint32(len(b.Samples)))
-	binary.LittleEndian.PutUint32(hdr[16:20], uint32(len(b.Aggs)))
-	out = append(out, hdr[:]...)
-	for _, s := range b.Samples {
-		out = s.AppendBinary(out)
-	}
-	for _, a := range b.Aggs {
-		out = a.AppendBinary(out)
-	}
-	return out, nil
-}
-
-// DecodeBundle parses a canonical bundle encoding: the current v2
-// layout, or the legacy pre-epoch v1 layout (whose bundles carry
-// epoch 0 — they predate intervals). Malformed input of either
-// version returns an error wrapping ErrCorruptBundle, never a panic
+// DecodeBundle parses the canonical bundle encoding. Malformed input
+// returns an error wrapping ErrCorruptBundle, never a panic
 // (FuzzDecodeBundle).
 func DecodeBundle(data []byte) (*Bundle, error) {
-	if len(data) < 4 {
+	// Header: magic[4] origin[4] seq[8] epoch[8] nSamples[4] nAggs[4].
+	if len(data) < 32 || [4]byte(data[0:4]) != bundleMagic {
 		return nil, ErrCorruptBundle
 	}
-	var (
-		b        *Bundle
-		nSamples uint32
-		nAggs    uint32
-		rest     []byte
-	)
-	switch [4]byte(data[0:4]) {
-	case bundleMagic: // v2: origin[4] seq[8] epoch[8] nSamples[4] nAggs[4]
-		if len(data) < 32 {
-			return nil, ErrCorruptBundle
-		}
-		b = &Bundle{
-			Origin: receipt.HOPID(binary.LittleEndian.Uint32(data[4:8])),
-			Seq:    binary.LittleEndian.Uint64(data[8:16]),
-			Epoch:  binary.LittleEndian.Uint64(data[16:24]),
-		}
-		nSamples = binary.LittleEndian.Uint32(data[24:28])
-		nAggs = binary.LittleEndian.Uint32(data[28:32])
-		rest = data[32:]
-	case bundleMagicV1: // v1: origin[4] seq[8] nSamples[4] nAggs[4]
-		if len(data) < 24 {
-			return nil, ErrCorruptBundle
-		}
-		b = &Bundle{
-			Origin: receipt.HOPID(binary.LittleEndian.Uint32(data[4:8])),
-			Seq:    binary.LittleEndian.Uint64(data[8:16]),
-		}
-		nSamples = binary.LittleEndian.Uint32(data[16:20])
-		nAggs = binary.LittleEndian.Uint32(data[20:24])
-		rest = data[24:]
-	default:
-		return nil, ErrCorruptBundle
+	b := &Bundle{
+		Origin: receipt.HOPID(binary.LittleEndian.Uint32(data[4:8])),
+		Seq:    binary.LittleEndian.Uint64(data[8:16]),
+		Epoch:  binary.LittleEndian.Uint64(data[16:24]),
 	}
+	nSamples := binary.LittleEndian.Uint32(data[24:28])
+	nAggs := binary.LittleEndian.Uint32(data[28:32])
+	rest := data[32:]
 	for i := uint32(0); i < nSamples; i++ {
 		s, _, r, err := receipt.Decode(rest)
 		if err != nil {

@@ -36,19 +36,18 @@ func fuzzBundle(epoch uint64) *Bundle {
 	}
 }
 
-// FuzzDecodeBundle: DecodeBundle must be total over both the current
-// v2 encoding and the legacy pre-epoch v1 encoding — any byte string
-// either decodes into a bundle that re-encodes byte-identically under
-// its own version, or returns an error wrapping ErrCorruptBundle;
-// never a panic, whatever the headers claim.
+// FuzzDecodeBundle: DecodeBundle must be total over the v2 encoding —
+// any byte string either decodes into a bundle that re-encodes
+// byte-identically, or returns an error wrapping ErrCorruptBundle;
+// never a panic, whatever the header claims. Input under any other
+// magic — the checked-in seed_v1 payload of the retired pre-epoch
+// layout included — must be rejected.
 func FuzzDecodeBundle(f *testing.F) {
 	v2 := fuzzBundle(4).Encode()
 	f.Add(v2)
-	v1, err := fuzzBundle(0).EncodeV1()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v1)
+	// The same bundle in the retired pre-epoch layout: v2 without the
+	// epoch field, under magic "VPM1".
+	f.Add(append(append([]byte("VPM1"), v2[4:16]...), v2[24:]...))
 	f.Add([]byte{})
 	f.Add([]byte("VPM2"))
 	f.Add([]byte("VPM1"))
@@ -74,21 +73,10 @@ func FuzzDecodeBundle(f *testing.F) {
 			}
 			return
 		}
-		var re []byte
-		switch [4]byte(data[0:4]) {
-		case bundleMagic:
-			re = b.Encode()
-		case bundleMagicV1:
-			if b.Epoch != 0 {
-				t.Fatalf("v1 bundle decoded with epoch %d", b.Epoch)
-			}
-			re, err = b.EncodeV1()
-			if err != nil {
-				t.Fatal(err)
-			}
-		default:
-			t.Fatalf("accepted unknown magic %q", data[0:4])
+		if [4]byte(data[0:4]) != bundleMagic {
+			t.Fatalf("accepted magic %q", data[0:4])
 		}
+		re := b.Encode()
 		if !bytes.Equal(re, data) {
 			t.Fatalf("re-encoding differs:\n in: %x\nout: %x", data, re)
 		}
