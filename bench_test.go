@@ -440,7 +440,11 @@ func BenchmarkAblationMarkerRate(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := path.Run(pkts, dep.Observers()); err != nil {
+				runner, err := netsim.NewRunner(path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := runner.Run(pkts, dep.Observers()); err != nil {
 					b.Fatal(err)
 				}
 				dep.Finalize()
@@ -476,7 +480,11 @@ func BenchmarkAblationPatchUp(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := path.Run(pkts, dep.Observers()); err != nil {
+				runner, err := netsim.NewRunner(path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := runner.Run(pkts, dep.Observers()); err != nil {
 					b.Fatal(err)
 				}
 				dep.Finalize()

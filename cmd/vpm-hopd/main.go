@@ -69,7 +69,9 @@ func main() {
 	path := netsim.Fig1Path(*seed + 100)
 	dep, err := core.NewDeployment(path, tc.Table(), core.DefaultDeployConfig())
 	check(err)
-	_, err = path.Run(pkts, dep.Observers())
+	runner, err := netsim.NewRunner(path)
+	check(err)
+	_, err = runner.Run(pkts, dep.Observers())
 	check(err)
 	dep.Finalize()
 

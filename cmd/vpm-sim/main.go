@@ -67,7 +67,9 @@ func main() {
 	dep, err := core.NewDeployment(path, tc.Table(), dc)
 	check(err)
 
-	res, err := path.Run(pkts, dep.Observers())
+	runner, err := netsim.NewRunner(path)
+	check(err)
+	res, err := runner.Run(pkts, dep.Observers())
 	check(err)
 	dep.Finalize()
 
@@ -103,7 +105,7 @@ func main() {
 
 // buildVerifier ingests receipts, substituting X's egress receipts
 // with lies when requested.
-func buildVerifier(dep *core.Deployment, path *netsim.Path, key packet.PathKey, lie string) *core.Verifier {
+func buildVerifier(dep *core.Deployment, path *netsim.Topology, key packet.PathKey, lie string) *core.Verifier {
 	if lie == "none" {
 		return dep.NewVerifier(key)
 	}
@@ -142,7 +144,7 @@ func buildVerifier(dep *core.Deployment, path *netsim.Path, key packet.PathKey, 
 			v.AddAggReceipts(hop, aggs) // aggregate counts stay honest
 		}
 	}
-	egressPath := path.PathIDFor(receipt.PathID{Key: key}, path.DomainIndex("X"), false)
+	egressPath := path.PathIDFor(key, 5) // X egress
 	switch lie {
 	case "blame-shift":
 		fs, fa := core.FabricateDelivery(xInS, xInA, egressPath, 500_000)

@@ -67,7 +67,7 @@ func main() {
 
 	rolling := vpm.NewRollingVerifier(dep.Layout(), dep.VerifierConfig(), win, vpm.DefaultQuantiles, 0.95)
 
-	runner, err := vpm.NewSimRunner(path)
+	runner, err := vpm.NewTopoRunner(path, tc.Table())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -49,7 +49,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	truth, err := path.Run(pkts, dep.Observers())
+	runner, err := vpm.NewTopoRunner(path, traceCfg.Table())
+	if err != nil {
+		log.Fatal(err)
+	}
+	truth, err := runner.Run(pkts, dep.Observers())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -80,7 +84,7 @@ func honest(dep *vpm.Deployment, key vpm.PathKey) {
 // liarVerifier rebuilds a verifier with X's egress receipts replaced
 // by fabrications, and (optionally) N's ingress receipts replaced by
 // cover-ups.
-func liarVerifier(dep *vpm.Deployment, path *vpm.Path, key vpm.PathKey, cover bool) *vpm.Verifier {
+func liarVerifier(dep *vpm.Deployment, path *vpm.Topology, key vpm.PathKey, cover bool) *vpm.Verifier {
 	v := vpm.NewVerifier(dep.Layout())
 	v.SetConfig(dep.VerifierConfig())
 	var xInSamples vpm.SampleReceipt
@@ -108,19 +112,19 @@ func liarVerifier(dep *vpm.Deployment, path *vpm.Path, key vpm.PathKey, cover bo
 			xInAggs = aggs
 		}
 	}
-	egressPath := path.PathIDFor(vpm.PathID{Key: key}, path.DomainIndex("X"), false)
+	egressPath := path.PathIDFor(key, 5) // X egress
 	fs, fa := vpm.FabricateDelivery(xInSamples, xInAggs, egressPath, 500_000)
 	v.AddSampleReceipt(5, fs)
 	v.AddAggReceipts(5, fa)
 	if cover {
-		nIngress := path.PathIDFor(vpm.PathID{Key: key}, path.DomainIndex("N"), true)
+		nIngress := path.PathIDFor(key, 6) // N ingress
 		v.AddSampleReceipt(6, vpm.CoverUpReceipt(fs, nIngress, 1_000_000))
 		v.AddAggReceipts(6, vpm.CoverUpAggs(fa, nIngress, 1_000_000))
 	}
 	return v
 }
 
-func blameShift(dep *vpm.Deployment, path *vpm.Path, key vpm.PathKey) {
+func blameShift(dep *vpm.Deployment, path *vpm.Topology, key vpm.PathKey) {
 	fmt.Println("=== story 2: X fabricates delivery receipts ===")
 	v := liarVerifier(dep, path, key, false)
 	rep, err := v.DomainReport("X", vpm.DefaultQuantiles, 0.95)
@@ -135,7 +139,7 @@ func blameShift(dep *vpm.Deployment, path *vpm.Path, key vpm.PathKey) {
 	fmt.Println()
 }
 
-func coverUp(dep *vpm.Deployment, path *vpm.Path, key vpm.PathKey, trueDrops uint64) {
+func coverUp(dep *vpm.Deployment, path *vpm.Topology, key vpm.PathKey, trueDrops uint64) {
 	fmt.Println("=== story 3: N colludes and covers X's lie ===")
 	v := liarVerifier(dep, path, key, true)
 	for _, lv := range v.VerifyAllLinks() {

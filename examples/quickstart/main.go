@@ -54,7 +54,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	truth, err := path.Run(pkts, dep.Observers())
+	runner, err := vpm.NewTopoRunner(path, traceCfg.Table())
+	if err != nil {
+		log.Fatal(err)
+	}
+	truth, err := runner.Run(pkts, dep.Observers())
 	if err != nil {
 		log.Fatal(err)
 	}

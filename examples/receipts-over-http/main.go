@@ -45,7 +45,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := path.Run(pkts, dep.Observers()); err != nil {
+	runner, err := vpm.NewTopoRunner(path, traceCfg.Table())
+	if err != nil {
+		log.Fatal(err)
+	}
+	if _, err := runner.Run(pkts, dep.Observers()); err != nil {
 		log.Fatal(err)
 	}
 	dep.Finalize()

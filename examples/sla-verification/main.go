@@ -67,7 +67,11 @@ func run(title string, congested bool, lossRate float64) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	truth, err := path.Run(pkts, dep.Observers())
+	runner, err := vpm.NewTopoRunner(path, traceCfg.Table())
+	if err != nil {
+		log.Fatal(err)
+	}
+	truth, err := runner.Run(pkts, dep.Observers())
 	if err != nil {
 		log.Fatal(err)
 	}

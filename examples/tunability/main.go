@@ -55,7 +55,11 @@ func run(sampleRate float64) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	truth, err := path.Run(pkts, dep.Observers())
+	runner, err := vpm.NewTopoRunner(path, traceCfg.Table())
+	if err != nil {
+		log.Fatal(err)
+	}
+	truth, err := runner.Run(pkts, dep.Observers())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -115,7 +119,11 @@ func asymmetric() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := path.Run(pkts, dep.Observers()); err != nil {
+	runner, err := vpm.NewTopoRunner(path, traceCfg.Table())
+	if err != nil {
+		log.Fatal(err)
+	}
+	if _, err := runner.Run(pkts, dep.Observers()); err != nil {
 		log.Fatal(err)
 	}
 	dep.Finalize()

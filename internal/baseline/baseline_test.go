@@ -44,7 +44,11 @@ func world(t testing.TB, obs4, obs5 netsim.Observer, lossX float64, congestX boo
 		path.Domains[xi].Delay = q
 	}
 	path.Domains[xi].Preferential = biased
-	res, err := path.Run(pkts, map[receipt.HOPID]netsim.Observer{4: obs4, 5: obs5})
+	runner, err := netsim.NewRunner(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := runner.Run(pkts, map[receipt.HOPID]netsim.Observer{4: obs4, 5: obs5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +155,11 @@ func TestDAPPHonestNoReorder(t *testing.T) {
 	xi := path.DomainIndex("X")
 	ge, _ := lossmodel.FromTargetLoss(0.10, 8, stats.NewRNG(3))
 	path.Domains[xi].Loss = ge
-	res, err := path.Run(pkts, map[receipt.HOPID]netsim.Observer{4: up, 5: down})
+	runner, err := netsim.NewRunner(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := runner.Run(pkts, map[receipt.HOPID]netsim.Observer{4: up, 5: down})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +200,11 @@ func TestDAPPBreaksUnderReordering(t *testing.T) {
 		for i := range path.Domains {
 			path.Domains[i].ReorderJitterNS = jitter
 		}
-		if _, err := path.Run(pkts, map[receipt.HOPID]netsim.Observer{4: up, 5: down}); err != nil {
+		runner, err := netsim.NewRunner(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := runner.Run(pkts, map[receipt.HOPID]netsim.Observer{4: up, 5: down}); err != nil {
 			t.Fatal(err)
 		}
 		up.Flush()

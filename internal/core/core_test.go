@@ -19,7 +19,7 @@ import (
 // deployment, with optional congestion and loss inside X.
 type scenario struct {
 	pkts  []packet.Packet
-	path  *netsim.Path
+	path  *netsim.Topology
 	dep   *Deployment
 	key   packet.PathKey
 	truth *netsim.Result
@@ -31,7 +31,21 @@ type scenarioOpt struct {
 	congestX   bool
 	lossX      float64
 	cfg        DeployConfig
-	mutatePath func(*netsim.Path)
+	mutatePath func(*netsim.Topology)
+}
+
+// runPath is a one-shot run of a default-route topology.
+func runPath(tb testing.TB, p *netsim.Topology, pkts []packet.Packet, obs map[receipt.HOPID]netsim.Observer) *netsim.Result {
+	tb.Helper()
+	r, err := netsim.NewRunner(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := r.Run(pkts, obs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
 }
 
 func buildScenario(t testing.TB, opt scenarioOpt) *scenario {
@@ -86,11 +100,7 @@ func buildScenario(t testing.TB, opt scenarioOpt) *scenario {
 			Dst: tc.Paths[0].DstPrefix,
 		},
 	}
-	res, err := path.Run(pkts, dep.Observers())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.truth = res
+	sc.truth = runPath(t, path, pkts, dep.Observers())
 	dep.Finalize()
 	return sc
 }
@@ -259,7 +269,7 @@ func TestBlameShiftExposedAtDownstreamLink(t *testing.T) {
 			xIngressAggs = aggs
 		}
 	}
-	egressPath := sc.path.PathIDFor(receipt.PathID{Key: sc.key}, sc.path.DomainIndex("X"), false)
+	egressPath := sc.path.PathIDFor(sc.key, 5) // X egress
 	fs, fa := FabricateDelivery(xIngressSamples, xIngressAggs, egressPath, 500_000)
 	v.AddSampleReceipt(5, fs)
 	v.AddAggReceipts(5, fa)
@@ -339,10 +349,8 @@ func TestCoverUpShiftsBlameToColluder(t *testing.T) {
 			xIngressAggs = aggs
 		}
 	}
-	xi := sc.path.DomainIndex("X")
-	ni := sc.path.DomainIndex("N")
-	egressPath := sc.path.PathIDFor(receipt.PathID{Key: sc.key}, xi, false)
-	nIngressPath := sc.path.PathIDFor(receipt.PathID{Key: sc.key}, ni, true)
+	egressPath := sc.path.PathIDFor(sc.key, 5)   // X egress
+	nIngressPath := sc.path.PathIDFor(sc.key, 6) // N ingress
 	fs, fa := FabricateDelivery(xIngressSamples, xIngressAggs, egressPath, 500_000)
 	v.AddSampleReceipt(5, fs)
 	v.AddAggReceipts(5, fa)
@@ -450,7 +458,7 @@ func TestMarkerBiasDetection(t *testing.T) {
 	mkWorld := func(biased bool) (*scenario, *Verifier) {
 		opt := scenarioOpt{congestX: true, durNS: int64(500e6)}
 		if biased {
-			opt.mutatePath = func(p *netsim.Path) {
+			opt.mutatePath = func(p *netsim.Topology) {
 				xi := p.DomainIndex("X")
 				p.Domains[xi].Preferential = func(_ *packet.Packet, digest uint64) bool {
 					return hashing.Exceeds(digest, markerMu)

@@ -25,7 +25,7 @@ type Tuning struct {
 	AggRate float64
 }
 
-// DeployConfig configures a whole-path VPM deployment.
+// DeployConfig configures a whole-topology VPM deployment.
 type DeployConfig struct {
 	// MarkerRate is the system-wide marker frequency µ (a VPM design
 	// constant, §5.1).
@@ -131,18 +131,14 @@ func DefaultAggregationConfig() aggregation.Config {
 	return aggregation.Config{CutRate: c.Default.AggRate, WindowNS: c.WindowNS}
 }
 
-// Deployment wires a Collector + Processor pair onto every HOP of a
-// simulated path. It is the integration point the examples and
-// experiments use: build a netsim.Path, deploy, run traffic, then
-// verify.
+// Deployment wires a Collector + Processor pair onto every routed HOP
+// of a simulated topology. It is the integration point the examples
+// and experiments use: build a netsim.Topology (Fig1Path for the
+// paper's path), deploy, run traffic, then verify.
 type Deployment struct {
-	// Path is the linear path this deployment covers, nil for a mesh
-	// deployment (see Topo).
-	Path *netsim.Path
-	// Topo is the mesh topology this deployment covers, nil for a
-	// linear one (see NewTopoDeployment). Exactly one of Path and Topo
-	// is set; Layout serves linear deployments, RouteLayouts and
-	// KeyLayouts serve meshes.
+	// Topo is the topology this deployment covers. Layout serves a
+	// topology with a default route (Fig1Path, LinearPath);
+	// RouteLayouts and KeyLayouts serve every topology.
 	Topo       *netsim.Topology
 	Table      *packet.Table
 	Collectors map[receipt.HOPID]*Collector
@@ -154,23 +150,24 @@ type Deployment struct {
 	// BackendSketch (nil otherwise); verifiers need it to avoid
 	// flagging thinned records as missing.
 	sampleKeep func(pktID uint64) bool
-	// keyLayouts caches the per-key route layouts of a mesh deployment
-	// (nil for linear ones); built lazily on first KeyLayouts call.
+	// keyLayouts caches the per-key route layouts; built lazily on
+	// first KeyLayouts call.
 	keyLayoutsOnce sync.Once
 	keyLayouts     map[packet.PathKey][]Layout
 }
 
-// NewDeployment builds collectors for every HOP of every deploying
-// domain on the path.
-func NewDeployment(path *netsim.Path, table *packet.Table, cfg DeployConfig) (*Deployment, error) {
-	if err := path.Validate(); err != nil {
+// NewDeployment builds collectors for every routed HOP of every
+// deploying domain in the topology. A HOP on a shared link files
+// receipts for every traffic key crossing it.
+func NewDeployment(topo *netsim.Topology, table *packet.Table, cfg DeployConfig) (*Deployment, error) {
+	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	d := &Deployment{
-		Path:             path,
+		Topo:             topo,
 		Table:            table,
 		Collectors:       make(map[receipt.HOPID]*Collector),
 		Processors:       make(map[receipt.HOPID]*Processor),
@@ -182,8 +179,22 @@ func NewDeployment(path *netsim.Path, table *packet.Table, cfg DeployConfig) (*D
 		keep := streamagg.NewKeepFilter(cfg.Sketch.KeepRate, cfg.Sketch.Salt, cfg.Sketch.MarkerRate)
 		d.sampleKeep = keep.Keep
 	}
-	for di := range path.Domains {
-		dom := &path.Domains[di]
+	// Only HOPs on some route ever observe traffic; collectors on the
+	// rest would drain nothing.
+	routed := make(map[receipt.HOPID]bool)
+	for ri := range topo.Routes {
+		for _, h := range topo.RouteHOPs(ri) {
+			routed[h] = true
+		}
+	}
+	hops := make([]int, 0, len(routed))
+	for h := range routed {
+		hops = append(hops, int(h))
+	}
+	sort.Ints(hops)
+	for _, hi := range hops {
+		h := receipt.HOPID(hi)
+		dom := &topo.Domains[topo.HOPDomain(h)]
 		if cfg.SkipDomains[dom.Name] {
 			continue
 		}
@@ -191,45 +202,36 @@ func NewDeployment(path *netsim.Path, table *packet.Table, cfg DeployConfig) (*D
 		if !ok {
 			tune = cfg.Default
 		}
-		in, eg := path.HOPsOf(di)
-		hops := []struct {
-			id      receipt.HOPID
-			ingress bool
-		}{{in, true}}
-		if eg != in {
-			hops = append(hops, struct {
-				id      receipt.HOPID
-				ingress bool
-			}{eg, false})
+		col, err := NewCollector(CollectorConfig{
+			HOP:   h,
+			Table: table,
+			PathID: func(key packet.PathKey) receipt.PathID {
+				return topo.PathIDFor(key, h)
+			},
+			Sampling: sampling.Config{
+				MarkerRate: cfg.MarkerRate,
+				SampleRate: tune.SampleRate,
+			},
+			Aggregation: aggregation.Config{
+				CutRate:  tune.AggRate,
+				WindowNS: cfg.WindowNS,
+			},
+			Shards:  cfg.Shards,
+			Backend: cfg.Backend,
+			Sketch:  cfg.Sketch,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("core: HOP %v: %w", h, err)
 		}
-		for _, h := range hops {
-			di, ingress := di, h.ingress
-			col, err := NewCollector(CollectorConfig{
-				HOP:   h.id,
-				Table: table,
-				PathID: func(key packet.PathKey) receipt.PathID {
-					return path.PathIDFor(receipt.PathID{Key: key}, di, ingress)
-				},
-				Sampling: sampling.Config{
-					MarkerRate: cfg.MarkerRate,
-					SampleRate: tune.SampleRate,
-				},
-				Aggregation: aggregation.Config{
-					CutRate:  tune.AggRate,
-					WindowNS: cfg.WindowNS,
-				},
-				Shards:  cfg.Shards,
-				Backend: cfg.Backend,
-				Sketch:  cfg.Sketch,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("core: HOP %v: %w", h.id, err)
-			}
-			d.Collectors[h.id] = col
-			d.Processors[h.id] = NewProcessor(col)
-			d.sampleThresholds[h.id] = hashing.ThresholdForRate(tune.SampleRate)
-		}
+		d.Collectors[h] = col
+		d.Processors[h] = NewProcessor(col)
+		d.sampleThresholds[h] = hashing.ThresholdForRate(tune.SampleRate)
 	}
+	// Route layouts are pure functions of the (immutable) topology;
+	// they are derived lazily on first KeyLayouts call so collector-
+	// only processes (fleet collectors never verify) skip the cost —
+	// at a million keys the layout cache is the deployment's largest
+	// allocation.
 	return d, nil
 }
 
@@ -250,44 +252,14 @@ func (d *Deployment) Finalize() {
 	}
 }
 
-// Layout derives the verifier's path layout from the simulated linear
-// path. A mesh deployment has no single layout — each route has its
-// own (RouteLayouts/KeyLayouts) — so Layout returns the zero Layout
-// there; the verifier entry points route through verifierLayout, which
-// picks the right per-key layout for both kinds.
+// Layout is the verifier layout of the topology's default route: the
+// whole path of Fig1Path or LinearPath, HOPs in path order with
+// alternating link and domain segments. A mesh has no default route —
+// each route has its own layout (RouteLayouts/KeyLayouts) — so Layout
+// returns the zero Layout there; the verifier entry points route
+// through verifierLayout, which picks the right per-key layout.
 func (d *Deployment) Layout() Layout {
-	p := d.Path
-	if p == nil {
-		return Layout{}
-	}
-	var l Layout
-	for di := range p.Domains {
-		in, eg := p.HOPsOf(di)
-		if di > 0 {
-			_, prevEg := p.HOPsOf(di - 1)
-			l.Segments = append(l.Segments, Segment{
-				Kind:       LinkSegment,
-				Up:         prevEg,
-				Down:       in,
-				Name:       fmt.Sprintf("%s-%s", p.Domains[di-1].Name, p.Domains[di].Name),
-				UpDomain:   p.Domains[di-1].Name,
-				DownDomain: p.Domains[di].Name,
-			})
-		}
-		l.HOPs = append(l.HOPs, in)
-		if eg != in {
-			l.Segments = append(l.Segments, Segment{
-				Kind:       DomainSegment,
-				Up:         in,
-				Down:       eg,
-				Name:       p.Domains[di].Name,
-				UpDomain:   p.Domains[di].Name,
-				DownDomain: p.Domains[di].Name,
-			})
-			l.HOPs = append(l.HOPs, eg)
-		}
-	}
-	return l
+	return d.verifierLayout(packet.PathKey{})
 }
 
 // NewVerifier builds a verifier over the deployment's receipts for
@@ -352,15 +324,13 @@ func (d *Deployment) NewVerifierOn(store *ReceiptStore, key packet.PathKey) *Ver
 }
 
 // verifierLayout resolves the layout a single-layout verifier for key
-// uses: the linear path layout, or — on a mesh — the key's first
-// route layout (an unrouted key gets an empty layout, yielding a
-// verifier with nothing to check rather than a panic).
+// uses: the layout of the key's first route, which is the default
+// route for a key with none of its own (an unrouted key gets an empty
+// layout, yielding a verifier with nothing to check rather than a
+// panic).
 func (d *Deployment) verifierLayout(key packet.PathKey) Layout {
-	if d.Topo == nil {
-		return d.Layout()
-	}
-	if ls := d.KeyLayouts()[key]; len(ls) > 0 {
-		return ls[0]
+	if rs := d.Topo.RoutesForKey(key); len(rs) > 0 {
+		return d.RouteLayout(rs[0])
 	}
 	return Layout{}
 }

@@ -464,9 +464,7 @@ func TestRollingVerifierReportsEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := path.Run(pkts, driver.Observers()); err != nil {
-		t.Fatal(err)
-	}
+	runPath(t, path, pkts, driver.Observers())
 	terminal := driver.Close()
 	win.FinishStream()
 
@@ -549,9 +547,7 @@ func TestRollingVerifierFlagsFaultyLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := path.Run(pkts, driver.Observers()); err != nil {
-		t.Fatal(err)
-	}
+	runPath(t, path, pkts, driver.Observers())
 	driver.Close()
 	win.FinishStream()
 

@@ -22,7 +22,7 @@ func TestFaultyLinkFlagged(t *testing.T) {
 	// The X-N link (between HOPs 5 and 6) drops 10% of traffic.
 	sc := buildScenario(t, scenarioOpt{
 		durNS: int64(500e6),
-		mutatePath: func(p *netsim.Path) {
+		mutatePath: func(p *netsim.Topology) {
 			// Link index 2 connects X (domain 2) and N (domain 3).
 			p.Links[2].Loss = lossmodel.NewBernoulli(0.10, stats.NewRNG(71))
 		},
@@ -65,7 +65,7 @@ func TestSlowLinkBreaksDelayBound(t *testing.T) {
 	// (§4, "No Clock Synchronization").
 	sc := buildScenario(t, scenarioOpt{
 		durNS: int64(300e6),
-		mutatePath: func(p *netsim.Path) {
+		mutatePath: func(p *netsim.Topology) {
 			p.Links[2].DelayNS = p.Links[2].MaxDiffNS + 2_000_000
 		},
 	})
@@ -87,7 +87,7 @@ func TestClockSkewWithinMaxDiffTolerated(t *testing.T) {
 	// enough, or their links look slow.
 	sc := buildScenario(t, scenarioOpt{
 		durNS: int64(300e6),
-		mutatePath: func(p *netsim.Path) {
+		mutatePath: func(p *netsim.Topology) {
 			ni := p.DomainIndex("N")
 			p.Domains[ni].IngressSkewNS = 500_000 // 0.5 ms forward skew
 		},
@@ -101,7 +101,7 @@ func TestClockSkewWithinMaxDiffTolerated(t *testing.T) {
 func TestClockSkewBeyondMaxDiffFlagged(t *testing.T) {
 	sc := buildScenario(t, scenarioOpt{
 		durNS: int64(300e6),
-		mutatePath: func(p *netsim.Path) {
+		mutatePath: func(p *netsim.Topology) {
 			ni := p.DomainIndex("N")
 			p.Domains[ni].IngressSkewNS = 5_000_000 // 5 ms >> MaxDiff 3 ms
 		},
@@ -116,7 +116,7 @@ func TestClockSkewBeyondMaxDiffFlagged(t *testing.T) {
 	// link delay.
 	sc2 := buildScenario(t, scenarioOpt{
 		durNS: int64(300e6),
-		mutatePath: func(p *netsim.Path) {
+		mutatePath: func(p *netsim.Topology) {
 			ni := p.DomainIndex("N")
 			p.Domains[ni].IngressSkewNS = -5_000_000
 		},
@@ -176,9 +176,7 @@ func TestMultiPathCollector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := path.Run(pkts, dep.Observers()); err != nil {
-		t.Fatal(err)
-	}
+	runPath(t, path, pkts, dep.Observers())
 	dep.Finalize()
 	m := dep.Collectors[4].Memory()
 	if m.ActivePaths != nPaths {

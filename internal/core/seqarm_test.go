@@ -53,9 +53,7 @@ func runSeqRolling(t *testing.T, lossyLink bool, seq *seqdetect.Config, workers 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := path.Run(pkts, driver.Observers()); err != nil {
-		t.Fatal(err)
-	}
+	runPath(t, path, pkts, driver.Observers())
 	driver.Close()
 	win.FinishStream()
 

@@ -46,10 +46,7 @@ func runDeployment(t testing.TB, tc trace.Config, pkts []packet.Packet, shards i
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := path.Run(pkts, dep.Observers())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runPath(t, path, pkts, dep.Observers())
 	dep.Finalize()
 	return dep, res
 }

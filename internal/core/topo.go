@@ -1,99 +1,16 @@
 package core
 
 import (
-	"fmt"
-	"sort"
-
-	"vpm/internal/aggregation"
-	"vpm/internal/hashing"
-	"vpm/internal/netsim"
 	"vpm/internal/packet"
 	"vpm/internal/receipt"
-	"vpm/internal/sampling"
 )
 
-// This file wires the mesh topology engine into the deployment and
-// verification stack. A topology deployment places one collector per
-// link-endpoint HOP — a HOP on a shared link files receipts for every
-// traffic key crossing it, which the (HOP, key)-indexed ReceiptStore
-// holds without change — and verification runs per (traffic key,
-// route): each route is a linear HOP sequence, so the whole §4 link
-// checking machinery applies route by route, with per-route layouts
-// replacing the single linear Layout.
-
-// NewTopoDeployment builds collectors for every routed HOP of every
-// deploying domain in the topology. The returned Deployment drives the
-// same Processor/Finalize/NewStore pipeline as a linear one (and the
-// same EpochDriver for continuous operation); only its layout accessors
-// differ — use RouteLayouts/KeyLayouts instead of Layout.
-func NewTopoDeployment(topo *netsim.Topology, table *packet.Table, cfg DeployConfig) (*Deployment, error) {
-	if err := topo.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	d := &Deployment{
-		Topo:             topo,
-		Table:            table,
-		Collectors:       make(map[receipt.HOPID]*Collector),
-		Processors:       make(map[receipt.HOPID]*Processor),
-		markerThreshold:  hashing.ThresholdForRate(cfg.MarkerRate),
-		sampleThresholds: make(map[receipt.HOPID]uint64),
-	}
-	// Only HOPs on some route ever observe traffic; collectors on the
-	// rest would drain nothing.
-	routed := make(map[receipt.HOPID]bool)
-	for ri := range topo.Routes {
-		for _, h := range topo.RouteHOPs(ri) {
-			routed[h] = true
-		}
-	}
-	hops := make([]int, 0, len(routed))
-	for h := range routed {
-		hops = append(hops, int(h))
-	}
-	sort.Ints(hops)
-	for _, hi := range hops {
-		h := receipt.HOPID(hi)
-		dom := &topo.Domains[topo.HOPDomain(h)]
-		if cfg.SkipDomains[dom.Name] {
-			continue
-		}
-		tune, ok := cfg.PerDomain[dom.Name]
-		if !ok {
-			tune = cfg.Default
-		}
-		col, err := NewCollector(CollectorConfig{
-			HOP:   h,
-			Table: table,
-			PathID: func(key packet.PathKey) receipt.PathID {
-				return topo.PathIDFor(key, h)
-			},
-			Sampling: sampling.Config{
-				MarkerRate: cfg.MarkerRate,
-				SampleRate: tune.SampleRate,
-			},
-			Aggregation: aggregation.Config{
-				CutRate:  tune.AggRate,
-				WindowNS: cfg.WindowNS,
-			},
-			Shards: cfg.Shards,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: HOP %v: %w", h, err)
-		}
-		d.Collectors[h] = col
-		d.Processors[h] = NewProcessor(col)
-		d.sampleThresholds[h] = hashing.ThresholdForRate(tune.SampleRate)
-	}
-	// Route layouts are pure functions of the (immutable) topology;
-	// they are derived lazily on first KeyLayouts call so collector-
-	// only processes (fleet collectors never verify) skip the cost —
-	// at a million keys the layout cache is the deployment's largest
-	// allocation.
-	return d, nil
-}
+// This file derives verifier layouts from a deployment's topology.
+// Verification runs per (traffic key, route): each route is a linear
+// HOP sequence, so the whole §4 link checking machinery applies route
+// by route, each with its own layout. A HOP on a shared link files
+// receipts for every traffic key crossing it, which the (HOP,
+// key)-indexed ReceiptStore holds without change.
 
 // RouteLayout derives the verifier layout of one route: the route's
 // HOP sequence with alternating link and domain segments, explicit

@@ -12,6 +12,7 @@ import (
 	"vpm/internal/quantile"
 	"vpm/internal/receipt"
 	"vpm/internal/stats"
+	"vpm/internal/streamagg"
 	"vpm/internal/trace"
 )
 
@@ -45,7 +46,7 @@ func meshDeployConfig() DeployConfig {
 // deployment with its shared store.
 func runTopo(t testing.TB, topo *netsim.Topology, tc trace.Config, pkts []packet.Packet, dc DeployConfig) (*Deployment, *ReceiptStore) {
 	t.Helper()
-	dep, err := NewTopoDeployment(topo, tc.Table(), dc)
+	dep, err := NewDeployment(topo, tc.Table(), dc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestMeshBatchContinuousEquivalence(t *testing.T) {
 	// sealed per epoch and aggregated back into one store.
 	const intervalNS = int64(5e7)
 	topo := build()
-	epDep, err := NewTopoDeployment(topo, tc.Table(), meshDeployConfig())
+	epDep, err := NewDeployment(topo, tc.Table(), meshDeployConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,7 @@ func TestMeshRollingVerifier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep, err := NewTopoDeployment(topo, tc.Table(), meshDeployConfig())
+	dep, err := NewDeployment(topo, tc.Table(), meshDeployConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +374,7 @@ func TestMeshRollingVerifier(t *testing.T) {
 func TestRouteLayoutPartial(t *testing.T) {
 	keys := netsim.TopoKeys(1)
 	topo := netsim.ClosTopology(7, 2, 2, keys)
-	dep, err := NewTopoDeployment(topo, topoTraceConfig(keys, 1000, 1e7).Table(), meshDeployConfig())
+	dep, err := NewDeployment(topo, topoTraceConfig(keys, 1000, 1e7).Table(), meshDeployConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,11 +398,10 @@ func TestRouteLayoutPartial(t *testing.T) {
 	}
 }
 
-// TestTopoDeploymentNewVerifier is the regression test for the nil
-// Path dereference: the single-layout convenience entry points
-// (Deployment.NewVerifier / NewVerifierOn / Layout) must work on a
-// mesh deployment — resolving the key's first route layout — instead
-// of panicking on the nil linear path.
+// TestTopoDeploymentNewVerifier: the single-layout convenience entry
+// points (Deployment.NewVerifier / NewVerifierOn / Layout) work on a
+// mesh deployment, which has no default route — resolving the key's
+// first route layout, and an empty one for an unrouted key.
 func TestTopoDeploymentNewVerifier(t *testing.T) {
 	keys := netsim.TopoKeys(2)
 	topo := netsim.StarTopology(41, 4, keys)
@@ -430,6 +430,87 @@ func TestTopoDeploymentNewVerifier(t *testing.T) {
 	// An unrouted key yields an empty, harmless verifier.
 	if lvs := dep.NewVerifierOn(dep.NewStore(), netsim.TopoKeys(9)[8]).VerifyAllLinks(); len(lvs) != 0 {
 		t.Fatalf("unrouted key produced %d verdicts", len(lvs))
+	}
+}
+
+// TestFig1DefaultRouteLayout: the layout of Fig1's default route is
+// the paper's path — HOPs 1..8, link and domain segments alternating
+// from S-L to N-D with their owning domains — and every key, routed by
+// a prefix table or not, verifies against it.
+func TestFig1DefaultRouteLayout(t *testing.T) {
+	dep, err := NewDeployment(netsim.Fig1Path(1), equivTraceConfig(1, 1000, 1e7).Table(), DefaultDeployConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	link := func(up, down receipt.HOPID, a, b string) Segment {
+		return Segment{Kind: LinkSegment, Up: up, Down: down, Name: a + "-" + b, UpDomain: a, DownDomain: b}
+	}
+	dom := func(up, down receipt.HOPID, n string) Segment {
+		return Segment{Kind: DomainSegment, Up: up, Down: down, Name: n, UpDomain: n, DownDomain: n}
+	}
+	want := Layout{
+		HOPs: []receipt.HOPID{1, 2, 3, 4, 5, 6, 7, 8},
+		Segments: []Segment{
+			link(1, 2, "S", "L"), dom(2, 3, "L"),
+			link(3, 4, "L", "X"), dom(4, 5, "X"),
+			link(5, 6, "X", "N"), dom(6, 7, "N"),
+			link(7, 8, "N", "D"),
+		},
+	}
+	if got := dep.Layout(); fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+		t.Fatalf("Fig1 layout:\n got %+v\nwant %+v", got, want)
+	}
+	for _, key := range append(netsim.TopoKeys(2), packet.PathKey{}) {
+		if got := dep.verifierLayout(key); fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+			t.Fatalf("key %v verifies against %+v, want the default route's layout", key, got)
+		}
+	}
+	if len(dep.Collectors) != 8 {
+		t.Fatalf("Fig1 deployment has %d collectors, want 8", len(dep.Collectors))
+	}
+}
+
+// TestMeshSketchBackend: a mesh deployment asked for BackendSketch
+// runs it — every collector keeps a sketch pool, receipts shrink below
+// the exact run's on the same traffic, verifiers get the thinning
+// filter — and the honest star stays violation-free.
+func TestMeshSketchBackend(t *testing.T) {
+	keys := netsim.TopoKeys(3)
+	tc := topoTraceConfig(keys, 25000, 2e8)
+	pkts, err := trace.Generate(tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, _ := runTopo(t, netsim.StarTopology(23, 4, keys), tc, append([]packet.Packet(nil), pkts...), meshDeployConfig())
+
+	dc := meshDeployConfig()
+	dc.Backend = BackendSketch
+	dc.Sketch = streamagg.Config{KeepRate: 0.25, Salt: 0x5eed_cafe, SketchCells: 512, SketchSeed: 7}
+	dep, store := runTopo(t, netsim.StarTopology(23, 4, keys), tc, pkts, dc)
+
+	for h, col := range dep.Collectors {
+		if col.SketchPool() == nil {
+			t.Fatalf("HOP %v collector runs the exact backend under BackendSketch", h)
+		}
+	}
+	if dep.VerifierConfig().SampleKeep == nil {
+		t.Fatal("sketch deployment gives verifiers no thinning filter")
+	}
+	if s, e := dep.TotalReceiptBytes(), exact.TotalReceiptBytes(); s >= e {
+		t.Fatalf("sketch receipts %d B, exact %d B: want fewer", s, e)
+	}
+	_, verdicts := meshVerdicts(dep, store)
+	checked := 0
+	for kr, lvs := range verdicts {
+		for _, lv := range lvs {
+			checked++
+			if len(lv.Violations) != 0 {
+				t.Fatalf("%s: honest link %v-%v has violations %v", kr, lv.Up, lv.Down, lv.Violations)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no link verdicts")
 	}
 }
 

@@ -57,9 +57,7 @@ func buildMultiPathScenario(t testing.TB, lossyLink bool) (*Deployment, []packet
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := path.Run(pkts, dep.Observers()); err != nil {
-		t.Fatal(err)
-	}
+	runPath(t, path, pkts, dep.Observers())
 	dep.Finalize()
 	return dep, keys
 }

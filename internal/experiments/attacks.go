@@ -160,7 +160,7 @@ func Attacks(cfg Config) ([]AttackRow, error) {
 				xInA = aggs
 			}
 		}
-		egressPath := w.path.PathIDFor(receipt.PathID{Key: w.key}, w.path.DomainIndex("X"), false)
+		egressPath := w.path.PathIDFor(w.key, hopXEgress)
 		fs, fa := core.FabricateDelivery(xInS, xInA, egressPath, 500_000)
 		v.AddSampleReceipt(5, fs)
 		v.AddAggReceipts(5, fa)
@@ -210,7 +210,11 @@ func runBaselineWorld(cfg Config, lossX float64, up, down netsim.Observer,
 	}
 	path.Domains[xi].Delay = q
 	path.Domains[xi].Preferential = biased
-	res, err := path.Run(pkts, map[receipt.HOPID]netsim.Observer{4: up, 5: down})
+	runner, err := netsim.NewRunner(path)
+	if err != nil {
+		return nil, err
+	}
+	res, err := runner.Run(pkts, map[receipt.HOPID]netsim.Observer{4: up, 5: down})
 	if err != nil {
 		return nil, err
 	}
@@ -247,7 +251,11 @@ func buildVPMAttackWorld(cfg Config, lossX float64, biased func(*packet.Packet, 
 	if err != nil {
 		return nil, err
 	}
-	res, err := path.Run(pkts, dep.Observers())
+	runner, err := netsim.NewRunner(path)
+	if err != nil {
+		return nil, err
+	}
+	res, err := runner.Run(pkts, dep.Observers())
 	if err != nil {
 		return nil, err
 	}

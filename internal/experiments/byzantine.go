@@ -152,7 +152,7 @@ type matrixScenario struct {
 	// wear returns data-plane adversaries to dress HOPs in.
 	wear func(mu uint64) map[receipt.HOPID]netsim.Adversary
 	// domainAdvs returns control-plane adversaries, in tap order.
-	domainAdvs func(p *netsim.Path) []core.EpochAdversary
+	domainAdvs func(p *netsim.Topology) []core.EpochAdversary
 	// tamper returns dissemination tampers per origin HOP for the
 	// given mode (batch publishes everything as epoch 0). The signer
 	// argument resolves an origin's key (equivocation re-signs).
@@ -276,7 +276,7 @@ func matrixScenarios(cfg Config) []matrixScenario {
 		},
 		{
 			name: "drop-records", layer: "control-plane", congestX: true,
-			domainAdvs: func(*netsim.Path) []core.EpochAdversary {
+			domainAdvs: func(*netsim.Topology) []core.EpochAdversary {
 				return []core.EpochAdversary{&core.RecordDropper{HOP: hopXEgress, Fraction: 0.5, Seed: 7}}
 			},
 			expect: expectation{verdict: "detected", hops: xnHOPs, evidence: []core.EvidenceClass{core.EvMissingReceipt}},
@@ -284,7 +284,7 @@ func matrixScenarios(cfg Config) []matrixScenario {
 		},
 		{
 			name: "fabricate", layer: "control-plane", congestX: true,
-			domainAdvs: func(p *netsim.Path) []core.EpochAdversary {
+			domainAdvs: func(p *netsim.Topology) []core.EpochAdversary {
 				return []core.EpochAdversary{fabricatorForX(p)}
 			},
 			expect: expectation{verdict: "detected", hops: xnHOPs, evidence: allLinkEvidence},
@@ -292,7 +292,7 @@ func matrixScenarios(cfg Config) []matrixScenario {
 		},
 		{
 			name: "collude", layer: "control-plane", congestX: true,
-			domainAdvs: func(p *netsim.Path) []core.EpochAdversary {
+			domainAdvs: func(p *netsim.Topology) []core.EpochAdversary {
 				return []core.EpochAdversary{fabricatorForX(p), colluderForN(p)}
 			},
 			expect: expectation{verdict: "contained",
@@ -347,26 +347,24 @@ func matrixScenarios(cfg Config) []matrixScenario {
 
 // fabricatorForX builds the §3.1 blame-shift adversary for domain X on
 // the given path.
-func fabricatorForX(p *netsim.Path) *core.Fabricator {
-	xi := p.DomainIndex("X")
+func fabricatorForX(p *netsim.Topology) *core.Fabricator {
 	return &core.Fabricator{
 		Ingress: hopXIngress,
 		Egress:  hopXEgress,
 		RewritePath: func(in receipt.PathID) receipt.PathID {
-			return p.PathIDFor(receipt.PathID{Key: in.Key}, xi, false)
+			return p.PathIDFor(in.Key, hopXEgress)
 		},
 		ClaimedDelayNS: 500_000,
 	}
 }
 
 // colluderForN builds the cover-up adversary for domain N.
-func colluderForN(p *netsim.Path) *core.Colluder {
-	ni := p.DomainIndex("N")
+func colluderForN(p *netsim.Topology) *core.Colluder {
 	return &core.Colluder{
 		LiarEgress: hopXEgress,
 		OwnIngress: hopNIngress,
 		RewritePath: func(liar receipt.PathID) receipt.PathID {
-			return p.PathIDFor(receipt.PathID{Key: liar.Key}, ni, true)
+			return p.PathIDFor(liar.Key, hopNIngress)
 		},
 		LinkDelayNS: netsim.DefaultLinkDelayNS,
 	}
@@ -507,8 +505,8 @@ func (out *matrixOutcome) recordMatched() {
 }
 
 // mutateMatrixPath perturbs the Fig1 path into the scenario's world.
-func mutateMatrixPath(cfg Config, sc *matrixScenario, mu uint64) func(*netsim.Path) {
-	return func(p *netsim.Path) {
+func mutateMatrixPath(cfg Config, sc *matrixScenario, mu uint64) func(*netsim.Topology) {
+	return func(p *netsim.Topology) {
 		xi := p.DomainIndex("X")
 		ge, err := lossmodel.FromTargetLoss(matrixLossX, 8, stats.NewRNG(cfg.Seed+29))
 		if err != nil {
@@ -751,7 +749,11 @@ func runBatchScenario(cfg Config, sc *matrixScenario) (*matrixOutcome, error) {
 			}
 		}
 	}
-	truthRes, err := path.Run(pkts, observers)
+	runner, err := netsim.NewRunner(path)
+	if err != nil {
+		return nil, err
+	}
+	truthRes, err := runner.Run(pkts, observers)
 	if err != nil {
 		return nil, err
 	}

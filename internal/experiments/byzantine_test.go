@@ -134,7 +134,7 @@ func TestEpochStraddleAttribution(t *testing.T) {
 	ec := core.EpochConfig{IntervalNS: intervalNS, Retention: 3, Workers: 1, Shards: 1}
 	opts := ContinuousOptions{
 		Deploy: &dc,
-		MutatePath: func(p *netsim.Path) {
+		MutatePath: func(p *netsim.Topology) {
 			// Lossless X: every forged record is a pure fabrication
 			// artifact, so all violations stem from the attack window.
 		},

@@ -139,7 +139,7 @@ type ContinuousOptions struct {
 	Ctx context.Context
 	// MutatePath perturbs the Fig1 path (loss, congestion, skew)
 	// before deployment.
-	MutatePath func(*netsim.Path)
+	MutatePath func(*netsim.Topology)
 	// Deploy overrides the deployment config (nil: defaults). Shards
 	// still come from the EpochConfig.
 	Deploy *core.DeployConfig
@@ -392,7 +392,7 @@ func RunContinuousOpts(cfg Config, ec core.EpochConfig, epochs int, opts Continu
 		if res.Truth == nil {
 			res.Truth = make([]netsim.DomainTruth, len(seg.Domains))
 			for i, d := range seg.Domains {
-				res.Truth[i] = netsim.DomainTruth{Name: d.Name, Ingress: d.Ingress, Egress: d.Egress}
+				res.Truth[i] = netsim.DomainTruth{Name: d.Name}
 			}
 		}
 		for i, d := range seg.Domains {
@@ -607,7 +607,11 @@ func epochsBatchRow(cfg Config, epochs int, intervalNS int64) (EpochsRow, error)
 	if err != nil {
 		return row, err
 	}
-	if _, err := path.Run(pkts, dep.Observers()); err != nil {
+	runner, err := netsim.NewRunner(path)
+	if err != nil {
+		return row, err
+	}
+	if _, err := runner.Run(pkts, dep.Observers()); err != nil {
 		return row, err
 	}
 	dep.Finalize()

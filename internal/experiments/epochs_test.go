@@ -133,7 +133,7 @@ func TestFingerprintsIndependentOfGOMAXPROCS(t *testing.T) {
 		sc := seqdetect.DefaultConfig()
 		res, err := RunContinuousOpts(cfg, ec, 6, ContinuousOptions{
 			Deploy: &dc,
-			MutatePath: func(p *netsim.Path) {
+			MutatePath: func(p *netsim.Topology) {
 				ge, err := lossmodel.FromTargetLoss(0.05, 8, stats.NewRNG(cfg.Seed+29))
 				if err != nil {
 					t.Fatal(err)

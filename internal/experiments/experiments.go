@@ -54,7 +54,7 @@ func (c Config) Normalize() Config {
 type world struct {
 	cfg   Config
 	pkts  []packet.Packet
-	path  *netsim.Path
+	path  *netsim.Topology
 	dep   *core.Deployment
 	key   packet.PathKey
 	truth *netsim.Result
@@ -119,7 +119,11 @@ func buildWorld(cfg Config, opt worldOpt) (*world, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := path.Run(pkts, dep.Observers())
+	runner, err := netsim.NewRunner(path)
+	if err != nil {
+		return nil, err
+	}
+	res, err := runner.Run(pkts, dep.Observers())
 	if err != nil {
 		return nil, err
 	}

@@ -89,7 +89,7 @@ func TestVerdictFingerprintsPinned(t *testing.T) {
 		sc := seqdetect.DefaultConfig()
 		res, err := RunContinuousOpts(ccfg, ec, 6, ContinuousOptions{
 			Deploy: &dc,
-			MutatePath: func(p *netsim.Path) {
+			MutatePath: func(p *netsim.Topology) {
 				ge, err := lossmodel.FromTargetLoss(0.05, 8, stats.NewRNG(ccfg.Seed+29))
 				if err != nil {
 					t.Fatal(err)

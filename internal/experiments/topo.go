@@ -188,7 +188,7 @@ func runTopoWorld(cfg Config, f topoFamily, faultyLink bool, shards int, wear ma
 	if err != nil {
 		return nil, -1, err
 	}
-	dep, err := core.NewTopoDeployment(topo, tc.Table(), topoDeployConfig(shards))
+	dep, err := core.NewDeployment(topo, tc.Table(), topoDeployConfig(shards))
 	if err != nil {
 		return nil, -1, err
 	}

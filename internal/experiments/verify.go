@@ -69,7 +69,11 @@ func VerifyScenario(cfg Config) (*core.Deployment, []packet.PathKey, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if _, err := path.Run(pkts, dep.Observers()); err != nil {
+	runner, err := netsim.NewRunner(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	if _, err := runner.Run(pkts, dep.Observers()); err != nil {
 		return nil, nil, err
 	}
 	dep.Finalize()
@@ -127,7 +131,7 @@ func Verify(cfg Config, workerCounts []int) ([]VerifyRow, error) {
 		return VerifyRow{
 			Mode:             mode,
 			Workers:          workers,
-			HOPs:             dep.Path.NumHOPs(),
+			HOPs:             dep.Topo.NumHOPs(),
 			PathKeys:         len(keys),
 			LinkChecks:       checks,
 			MatchedSamples:   matched,

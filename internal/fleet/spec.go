@@ -153,7 +153,7 @@ func (s Spec) Build() (*World, error) {
 		prefixes = append(prefixes, k.Src, k.Dst)
 	}
 	table := packet.NewTable(prefixes)
-	dep, err := core.NewTopoDeployment(topo, table, s.deployConfig())
+	dep, err := core.NewDeployment(topo, table, s.deployConfig())
 	if err != nil {
 		return nil, err
 	}

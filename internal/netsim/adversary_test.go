@@ -124,10 +124,7 @@ func TestWearOnPath(t *testing.T) {
 			}
 			observers[h] = obs
 		}
-		res, err := path.Run(pkts, observers)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runOnce(t, path, pkts, observers)
 		times := make(map[receipt.HOPID][]int64, 8)
 		for h, c := range sinks {
 			times[h] = c.times

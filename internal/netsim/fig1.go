@@ -1,10 +1,6 @@
 package netsim
 
-import (
-	"fmt"
-
-	"vpm/internal/receipt"
-)
+import "fmt"
 
 // This file builds the paper's running example (Figure 1): domain S
 // sends to domain D via transit domains L, X and N; HOPs are numbered
@@ -32,116 +28,43 @@ const (
 
 // Fig1Path builds the five-domain topology of Figure 1 with healthy
 // defaults: no loss anywhere, constant transit delays, mild jitter.
-// Experiments then perturb individual domains (e.g. congest X, add
-// loss within X) by mutating the returned path before Run.
-func Fig1Path(seed uint64) *Path {
-	p := &Path{Seed: seed}
-	for _, name := range Fig1DomainNames {
-		p.Domains = append(p.Domains, DomainSpec{
-			Name:            name,
-			BaseDelayNS:     DefaultBaseDelayNS,
-			ReorderJitterNS: DefaultReorderJitterNS,
-		})
-	}
-	for i := 0; i < len(p.Domains)-1; i++ {
-		p.Links = append(p.Links, LinkSpec{
-			DelayNS:   DefaultLinkDelayNS,
-			JitterNS:  DefaultLinkJitterNS,
-			MaxDiffNS: DefaultMaxDiffNS,
-		})
-	}
-	return p
-}
+// It is a chain with one default route, so every packet crosses HOPs
+// 1..8 whatever its key. Experiments then perturb individual domains
+// (e.g. congest X, add loss within X) by mutating the returned
+// topology before running it.
+func Fig1Path(seed uint64) *Topology { return chain(seed, Fig1DomainNames) }
 
-// LinearPath builds an nDomains-long path with the same healthy
+// LinearPath builds an nDomains-long chain with the same healthy
 // defaults as Fig1Path: stub source S, transit domains T1..T(n-2),
 // stub destination D. nDomains = 5 reproduces Figure 1's shape (8
 // HOPs); larger values scale the verification workload — e.g. 9
 // domains give the 16-HOP scenario the verify benchmarks use.
-func LinearPath(seed uint64, nDomains int) *Path {
+func LinearPath(seed uint64, nDomains int) *Topology {
 	if nDomains < 2 {
 		nDomains = 2
 	}
-	p := &Path{Seed: seed}
-	for i := 0; i < nDomains; i++ {
-		name := fmt.Sprintf("T%d", i)
-		switch i {
-		case 0:
-			name = "S"
-		case nDomains - 1:
-			name = "D"
-		}
-		p.Domains = append(p.Domains, DomainSpec{
-			Name:            name,
-			BaseDelayNS:     DefaultBaseDelayNS,
-			ReorderJitterNS: DefaultReorderJitterNS,
-		})
+	names := make([]string, nDomains)
+	for i := range names {
+		names[i] = fmt.Sprintf("T%d", i)
 	}
-	for i := 0; i < len(p.Domains)-1; i++ {
-		p.Links = append(p.Links, LinkSpec{
-			DelayNS:   DefaultLinkDelayNS,
-			JitterNS:  DefaultLinkJitterNS,
-			MaxDiffNS: DefaultMaxDiffNS,
-		})
-	}
-	return p
+	names[0], names[nDomains-1] = "S", "D"
+	return chain(seed, names)
 }
 
-// DomainIndex returns the index of the named domain, or -1.
-func (p *Path) DomainIndex(name string) int {
-	for i := range p.Domains {
-		if p.Domains[i].Name == name {
-			return i
+// chain links the named domains in order, domain i to i+1 over link
+// i, and routes the default key along the whole chain. The HOPs run
+// 1..2(n-1) in path order: the origin's egress is HOP 1, transit
+// domain i owns ingress 2i and egress 2i+1, the destination's ingress
+// is the last.
+func chain(seed uint64, names []string) *Topology {
+	t := &Topology{Seed: seed}
+	var route Route
+	for i, name := range names {
+		t.Domains = append(t.Domains, healthyDomain(name))
+		if i > 0 {
+			route.Links = append(route.Links, t.addLink(i-1, i))
 		}
 	}
-	return -1
-}
-
-// LinkBetween returns the index of the link between domain d and d+1
-// — equivalently, the link upstream of domain d+1.
-func (p *Path) LinkBetween(d int) *LinkSpec { return &p.Links[d] }
-
-// PathIDFor builds the PathID a HOP of domain d would stamp on its
-// receipts for traffic with the given origin-prefix key: the previous
-// and next HOPs of the reporting HOP along the path (0 when the path
-// ends there, as at HOP 1's upstream or HOP 8's downstream in Figure
-// 1) and the MaxDiff of the adjacent inter-domain link in the
-// reporting direction. ingress selects the domain's ingress HOP
-// (true) or egress HOP (false); for stub domains the two coincide.
-func (p *Path) PathIDFor(key receipt.PathID, d int, ingress bool) receipt.PathID {
-	in, eg := p.HOPsOf(d)
-	h := eg
-	if ingress {
-		h = in
-	}
-	id := key
-	id.PrevHOP = prevHOP(h)
-	id.NextHOP = nextHOP(h, p.NumHOPs())
-	// Receipts are compared across one inter-domain link; the MaxDiff
-	// a HOP advertises is the bound for the link it shares with the
-	// neighbor it reports about: the upstream link for an ingress HOP
-	// and the downstream link for an egress HOP.
-	switch {
-	case ingress && d > 0:
-		id.MaxDiffNS = p.Links[d-1].MaxDiffNS
-	case d < len(p.Links):
-		id.MaxDiffNS = p.Links[d].MaxDiffNS
-	case d > 0:
-		id.MaxDiffNS = p.Links[d-1].MaxDiffNS
-	}
-	return id
-}
-
-func prevHOP(h receipt.HOPID) receipt.HOPID {
-	if h <= 1 {
-		return 0
-	}
-	return h - 1
-}
-
-func nextHOP(h receipt.HOPID, n int) receipt.HOPID {
-	if int(h) >= n {
-		return 0
-	}
-	return h + 1
+	t.Routes = []Route{route}
+	return t
 }

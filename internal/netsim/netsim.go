@@ -1,13 +1,18 @@
 // Package netsim simulates the inter-domain forwarding substrate of
-// the paper's setup (§2): a linear HOP path like Figure 1's
-// S → L → X → N → D, where stub domains S and D contribute one HOP
-// each and every transit domain contributes an ingress and an egress
-// HOP. Packets traverse inter-domain links (propagation delay, jitter,
+// the paper's setup (§2). A Topology is a directed domain graph whose
+// links each carry two HOPs — the sending domain's egress onto the
+// link and the receiving domain's ingress off it — plus a route table
+// that maps origin-prefix traffic keys to HOP sequences. Figure 1's
+// S → L → X → N → D is one such route: Fig1Path and LinearPath build
+// the chain with a single default route, the zero PathKey
+// (0.0.0.0/0 → 0.0.0.0/0), which longest-prefix matching reads as
+// "every packet", so every packet crosses HOPs 1..2(n-1) in order.
+// Packets traverse inter-domain links (propagation delay, jitter,
 // optional loss) and intra-domain crossings (base delay, optional
 // congestion via a delaymodel.Queue, optional loss, jitter-induced
 // reordering, per-HOP clock skew).
 //
-// The simulator computes every packet's observation time at every HOP,
+// The Runner computes every packet's observation time at every HOP,
 // then replays each HOP's observations in arrival order to the
 // attached Observer (the VPM collector, a baseline, or nothing for a
 // non-deploying domain). Ground truth — per-domain loss counts and
@@ -34,6 +39,7 @@ import (
 	"sort"
 	"sync"
 
+	"vpm/internal/hashing"
 	"vpm/internal/lossmodel"
 	"vpm/internal/packet"
 	"vpm/internal/receipt"
@@ -101,7 +107,7 @@ func Deliver(obs Observer, batch []Observation) {
 	}
 }
 
-// DomainSpec describes one domain on the path.
+// DomainSpec describes one domain of a topology.
 type DomainSpec struct {
 	// Name labels the domain ("S", "L", "X", ...).
 	Name string
@@ -141,58 +147,14 @@ type LinkSpec struct {
 	Loss lossmodel.Process
 }
 
-// Path is a linear inter-domain path.
-type Path struct {
-	// Domains along the path; the first and last are stubs with a
-	// single HOP (egress and ingress respectively).
-	Domains []DomainSpec
-	// Links connect consecutive domains; len(Links) ==
-	// len(Domains)-1.
-	Links []LinkSpec
-	// Seed drives packet digests and all simulation randomness.
-	Seed uint64
-}
-
-// Validate checks structural invariants.
-func (p *Path) Validate() error {
-	if len(p.Domains) < 2 {
-		return fmt.Errorf("netsim: need at least 2 domains, have %d", len(p.Domains))
-	}
-	if len(p.Links) != len(p.Domains)-1 {
-		return fmt.Errorf("netsim: %d domains need %d links, have %d",
-			len(p.Domains), len(p.Domains)-1, len(p.Links))
-	}
-	return nil
-}
-
-// NumHOPs returns the number of HOPs on the path: one for each stub
-// end plus two per transit domain (paper Figure 1: 5 domains → 8
-// HOPs).
-func (p *Path) NumHOPs() int { return 2 + 2*(len(p.Domains)-2) }
-
-// HOPsOf returns the HOP IDs of domain d (1-based HOP numbering along
-// the path, matching the paper's figure). Stub domains return equal
-// ingress and egress.
-func (p *Path) HOPsOf(d int) (ingress, egress receipt.HOPID) {
-	switch {
-	case d == 0:
-		return 1, 1
-	case d == len(p.Domains)-1:
-		n := receipt.HOPID(p.NumHOPs())
-		return n, n
-	default:
-		in := receipt.HOPID(2 * d)
-		return in, in + 1
-	}
-}
-
-// DomainTruth is the ground truth recorded for one transit domain.
+// DomainTruth is the ground truth recorded for one domain. A domain
+// may own many HOPs, so the counters aggregate every route crossing
+// it.
 type DomainTruth struct {
-	Name            string
-	Ingress, Egress receipt.HOPID
-	In, Out         uint64
-	DroppedInside   uint64
-	TrueDelaysNS    []float64 // egress minus ingress true time per delivered packet
+	Name          string
+	In, Out       uint64
+	DroppedInside uint64
+	TrueDelaysNS  []float64 // egress minus ingress true time per delivered packet
 }
 
 // LossRate returns the domain's actual loss rate for this run.
@@ -203,15 +165,25 @@ func (d DomainTruth) LossRate() float64 {
 	return float64(d.DroppedInside) / float64(d.In)
 }
 
-// Result is the outcome of one simulation run.
+// Result is the ground truth of one simulation segment.
 type Result struct {
 	Sent      int
 	Delivered int
-	// Domains holds ground truth for every domain (stubs included;
-	// stubs never drop or delay).
+	// Unrouted counts packets no route carries: their key, or the
+	// packet itself when it matches no prefix, has no route and the
+	// topology has no default route. Cross-traffic outside the route
+	// table crosses no HOP.
+	Unrouted int
+	// Domains holds per-domain ground truth, indexed like
+	// Topology.Domains (origin and destination included; they never
+	// drop or delay).
 	Domains []DomainTruth
-	// LinkDrops counts packets lost on each inter-domain link.
+	// LinkDrops counts packets lost on each directed link, indexed
+	// like Topology.Links.
 	LinkDrops []uint64
+	// RouteDelivered counts delivered packets per route, indexed like
+	// Topology.Routes — the ECMP split observed.
+	RouteDelivered []int
 }
 
 // DomainByName returns the truth record for the named domain.
@@ -230,37 +202,22 @@ type hopObservation struct {
 	timeNS int64
 }
 
-// Run drives pkts (in send order) across the path, delivering each
-// HOP's observations in arrival-time order to the corresponding
-// observer. observers maps HOP ID → Observer; HOPs without an entry
-// are non-deploying (partial deployment, §8). Run is deterministic
-// given the path seed.
-//
-// Distinct observers are called concurrently (one goroutine per
-// observer, bounded by a worker pool); each individual observer still
-// sees its observations from a single goroutine, in arrival order.
-//
-// Run is the one-shot form: it derives fresh jitter state from the
-// path seed on every call. Continuous operation feeds the path in
-// epoch-sized segments through a Runner instead, whose state persists
-// across segments so the concatenated stream behaves like one run.
-func (p *Path) Run(pkts []packet.Packet, observers map[receipt.HOPID]Observer) (*Result, error) {
-	r, err := NewRunner(p)
-	if err != nil {
-		return nil, err
-	}
-	return r.Run(pkts, observers)
+// pendingObs is one withheld observation, self-contained.
+type pendingObs struct {
+	pkt    packet.Packet
+	digest uint64
+	timeNS int64
 }
 
-// Runner drives traffic across a path in consecutive segments while
-// behaving exactly like one uninterrupted Run over the concatenated
-// trace. Two mechanisms make the equivalence hold:
+// Runner drives traffic across a topology in consecutive segments
+// while behaving exactly like one uninterrupted run over the
+// concatenated trace. Two mechanisms make the equivalence hold:
 //
-//   - All per-path randomness state persists between calls: the jitter
-//     RNG streams (created once, from the path seed) and the stateful
-//     loss and congestion processes attached to the Path. Per-packet
-//     drop/delay decisions depend only on the packet sequence, so
-//     segmentation never changes them.
+//   - All randomness state persists between calls: the jitter RNG
+//     streams (created once, from the topology seed) and the stateful
+//     loss and congestion processes attached to the topology's specs.
+//     Per-packet drop/delay decisions depend only on the packet
+//     sequence, so segmentation never changes them.
 //   - Replay withholding: a packet sent near the end of a segment
 //     arrives at downstream HOPs after packets of the next segment
 //     have started arriving, so replaying each segment to completion
@@ -274,26 +231,22 @@ func (p *Path) Run(pkts []packet.Packet, observers map[receipt.HOPID]Observer) (
 //     lets the continuous pipeline's receipts match batch receipts
 //     exactly.
 type Runner struct {
-	p          *Path
+	t *Topology
+	// table classifies packets into traffic keys; nil when every
+	// route is a default route, since then classification cannot
+	// change a packet's routes.
+	table *packet.Table
+	// Per-domain reorder-jitter and per-link jitter RNG streams, split
+	// once from the topology seed in domain-then-link order.
 	jitterRngs []*stats.RNG
 	linkRngs   []*stats.RNG
-	rep        *replayer
-}
-
-// pendingObs is one withheld observation, self-contained.
-type pendingObs struct {
-	pkt    packet.Packet
-	digest uint64
-	timeNS int64
-}
-
-// replayer owns the arrival-order replay of per-HOP observation
-// streams: the per-HOP minimum observation delays that bound what a
-// future packet can still interleave with, and the withheld
-// observations carried across segment boundaries. The linear Runner
-// and the mesh TopoRunner share it — replay semantics are identical
-// whatever graph produced the observations.
-type replayer struct {
+	// defaults are the default routes, resolved once: the routes of
+	// every packet the table does not send elsewhere.
+	defaults  []int
+	routeDoms [][]int
+	// routeSalt keys the ECMP split so it is uncorrelated with the
+	// digest comparisons the sampling layer makes.
+	routeSalt uint64
 	// minObsNS is each HOP's minimum observation delay after a
 	// packet's send time: propagation + base transit (jitter,
 	// congestion and queueing only add) plus the HOP's clock skew.
@@ -303,12 +256,195 @@ type replayer struct {
 	pending [][]pendingObs
 }
 
-// newReplayer sizes the replay state for HOP IDs 1..nHops.
-func newReplayer(nHops int) *replayer {
-	return &replayer{
-		minObsNS: make([]int64, nHops+1),
-		pending:  make([][]pendingObs, nHops+1),
+// NewRunner prepares a runner for a topology whose routes are all
+// default routes (Fig1Path, LinearPath): NewTopoRunner with no prefix
+// table.
+func NewRunner(t *Topology) (*Runner, error) { return NewTopoRunner(t, nil) }
+
+// NewTopoRunner validates the topology and prepares persistent
+// simulation state. table classifies packet addresses into traffic
+// keys (build it from the trace config, as deployments do); it may be
+// nil only when every route is a default route.
+func NewTopoRunner(t *Topology, table *packet.Table) (*Runner, error) {
+	if err := t.Validate(); err != nil {
+		return nil, err
 	}
+	keyed := false
+	for i := range t.Routes {
+		if t.Routes[i].Key != (packet.PathKey{}) {
+			keyed = true
+			break
+		}
+	}
+	if !keyed {
+		table = nil
+	} else if table == nil {
+		return nil, fmt.Errorf("netsim: a topology with keyed routes needs a prefix table")
+	}
+	rng := stats.NewRNG(t.Seed ^ 0xabcdef)
+	nHops := t.NumHOPs()
+	r := &Runner{
+		t:          t,
+		table:      table,
+		jitterRngs: make([]*stats.RNG, len(t.Domains)),
+		linkRngs:   make([]*stats.RNG, len(t.Links)),
+		defaults:   t.RoutesForKey(packet.PathKey{}),
+		routeDoms:  make([][]int, len(t.Routes)),
+		routeSalt:  t.Seed ^ 0x9e3779b97f4a7c15,
+		minObsNS:   make([]int64, nHops+1),
+		pending:    make([][]pendingObs, nHops+1),
+	}
+	for i := range r.jitterRngs {
+		r.jitterRngs[i] = rng.Split()
+	}
+	for i := range r.linkRngs {
+		r.linkRngs[i] = rng.Split()
+	}
+	// Minimum observation delay per HOP: the minimum over all routes
+	// through it of the cumulative link propagation + base transit
+	// delay, plus the HOP's clock skew.
+	seen := make([]bool, nHops+1)
+	for ri := range t.Routes {
+		doms := t.RouteDomains(ri)
+		r.routeDoms[ri] = doms
+		acc := int64(0)
+		for j, li := range t.Routes[ri].Links {
+			eg, in := t.LinkHOPs(li)
+			egT := acc + t.Domains[doms[j]].EgressSkewNS
+			if !seen[eg] || egT < r.minObsNS[eg] {
+				r.minObsNS[eg] = egT
+				seen[eg] = true
+			}
+			acc += t.Links[li].DelayNS
+			inT := acc + t.Domains[doms[j+1]].IngressSkewNS
+			if !seen[in] || inT < r.minObsNS[in] {
+				r.minObsNS[in] = inT
+				seen[in] = true
+			}
+			acc += t.Domains[doms[j+1]].BaseDelayNS
+		}
+	}
+	return r, nil
+}
+
+// Run drives one final (or sole) segment: every observation, including
+// any withheld by earlier RunSegment calls, is delivered. Equivalent
+// to RunSegment with an unbounded horizon; call with an empty packet
+// slice to flush withheld observations after an early stop.
+func (r *Runner) Run(pkts []packet.Packet, observers map[receipt.HOPID]Observer) (*Result, error) {
+	return r.RunSegment(pkts, observers, int64(1)<<62)
+}
+
+// RunSegment drives one segment of traffic (in send order) across the
+// topology, delivering each HOP's observations in arrival-time order
+// to the corresponding observer, and returns that segment's ground
+// truth. observers maps HOP ID → Observer; HOPs without an entry are
+// non-deploying (partial deployment, §8). horizonNS promises that
+// every future packet is sent at or after it; observations that could
+// still interleave with such packets are withheld and delivered by the
+// next call, keeping each HOP's replay in global arrival order across
+// segments.
+func (r *Runner) RunSegment(pkts []packet.Packet, observers map[receipt.HOPID]Observer, horizonNS int64) (*Result, error) {
+	t := r.t
+	res := &Result{
+		Sent:           len(pkts),
+		LinkDrops:      make([]uint64, len(t.Links)),
+		RouteDelivered: make([]int, len(t.Routes)),
+	}
+	for d := range t.Domains {
+		res.Domains = append(res.Domains, DomainTruth{Name: t.Domains[d].Name})
+	}
+
+	digests := make([]uint64, len(pkts))
+	parallelChunks(len(pkts), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			digests[i] = pkts[i].Digest(t.Seed)
+		}
+	})
+
+	obsPerHop := make([][]hopObservation, t.NumHOPs()+1) // 1-based HOP IDs
+	record := func(hop receipt.HOPID, pktIdx int, tm int64) {
+		obsPerHop[hop] = append(obsPerHop[hop], hopObservation{pktIdx: int32(pktIdx), timeNS: tm})
+	}
+
+	for i := range pkts {
+		pkt := &pkts[i]
+		routes := r.defaults
+		if r.table != nil {
+			if key, ok := r.table.Classify(pkt); ok {
+				routes = t.RoutesForKey(key)
+			}
+		}
+		if len(routes) == 0 {
+			res.Unrouted++
+			continue
+		}
+		ri := routes[0]
+		if len(routes) > 1 {
+			// ECMP: split by a salted digest hash, the flow-hash a
+			// router would compute — deterministic per packet, and
+			// uncorrelated with the marker/sampling digest comparisons.
+			ri = routes[int(hashing.SampleFcn(digests[i], r.routeSalt)%uint64(len(routes)))]
+		}
+		rt := &t.Routes[ri]
+		doms := r.routeDoms[ri]
+		tm := pkt.SentAt
+
+		// Origin domain: observed at its egress onto the first link.
+		srcEg, _ := t.LinkHOPs(rt.Links[0])
+		record(srcEg, i, tm+t.Domains[doms[0]].EgressSkewNS)
+		res.Domains[doms[0]].In++
+		res.Domains[doms[0]].Out++
+
+		for j, li := range rt.Links {
+			link := &t.Links[li]
+			if link.Loss != nil && link.Loss.Drop() {
+				res.LinkDrops[li]++
+				break
+			}
+			tm += link.DelayNS
+			if link.JitterNS > 0 {
+				tm += int64(r.linkRngs[li].Float64() * float64(link.JitterNS))
+			}
+
+			di := doms[j+1]
+			dom := &t.Domains[di]
+			truth := &res.Domains[di]
+			_, in := t.LinkHOPs(li)
+			arrived := tm
+			record(in, i, arrived+dom.IngressSkewNS)
+			truth.In++
+
+			if j == len(rt.Links)-1 {
+				// Destination domain: delivered.
+				truth.Out++
+				res.Delivered++
+				res.RouteDelivered[ri]++
+				break
+			}
+
+			// Intra-domain crossing to the egress onto the next link.
+			preferred := dom.Preferential != nil && dom.Preferential(pkt, digests[i])
+			if !preferred && dom.Loss != nil && dom.Loss.Drop() {
+				truth.DroppedInside++
+				break
+			}
+			tm += dom.BaseDelayNS
+			if !preferred && dom.Delay != nil {
+				tm += dom.Delay.DelayOf(arrived, pkt.WireLen())
+			}
+			if dom.ReorderJitterNS > 0 {
+				tm += int64(r.jitterRngs[di].Float64() * float64(dom.ReorderJitterNS))
+			}
+			eg, _ := t.LinkHOPs(rt.Links[j+1])
+			record(eg, i, tm+dom.EgressSkewNS)
+			truth.Out++
+			truth.TrueDelaysNS = append(truth.TrueDelaysNS, float64(tm-arrived))
+		}
+	}
+
+	r.replay(obsPerHop, observers, pkts, digests, horizonNS)
+	return res, nil
 }
 
 // replay delivers every HOP's deliverable observations in arrival
@@ -319,7 +455,7 @@ func newReplayer(nHops int) *replayer {
 // goroutine, preserving the serial semantics an aliased observer
 // expects. Observations past the horizon (plus the HOP's minimum
 // observation delay) are withheld for the next segment's merge.
-func (r *replayer) replay(obsPerHop [][]hopObservation, observers map[receipt.HOPID]Observer, pkts []packet.Packet, digests []uint64, horizonNS int64) {
+func (r *Runner) replay(obsPerHop [][]hopObservation, observers map[receipt.HOPID]Observer, pkts []packet.Packet, digests []uint64, horizonNS int64) {
 	nHops := len(r.minObsNS) - 1
 	var groups []replayGroup
 	for hop := 1; hop <= nHops; hop++ {
@@ -402,156 +538,6 @@ func (r *replayer) replay(obsPerHop [][]hopObservation, observers map[receipt.HO
 		}()
 	}
 	wg.Wait()
-}
-
-// NewRunner validates the path and prepares its persistent simulation
-// state.
-func NewRunner(p *Path) (*Runner, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	rng := stats.NewRNG(p.Seed ^ 0xabcdef)
-	nHops := p.NumHOPs()
-	r := &Runner{
-		p:          p,
-		jitterRngs: make([]*stats.RNG, len(p.Domains)),
-		linkRngs:   make([]*stats.RNG, len(p.Links)),
-		rep:        newReplayer(nHops),
-	}
-	for i := range r.jitterRngs {
-		r.jitterRngs[i] = rng.Split()
-	}
-	for i := range r.linkRngs {
-		r.linkRngs[i] = rng.Split()
-	}
-	// Minimum cumulative delay to each HOP, in path order.
-	t := int64(0)
-	for d := range p.Domains {
-		in, eg := p.HOPsOf(d)
-		if d > 0 {
-			t += p.Links[d-1].DelayNS
-		}
-		r.rep.minObsNS[in] = t + p.Domains[d].IngressSkewNS
-		if eg != in {
-			t += p.Domains[d].BaseDelayNS
-			r.rep.minObsNS[eg] = t + p.Domains[d].EgressSkewNS
-		} else if d == 0 {
-			r.rep.minObsNS[eg] = t + p.Domains[d].EgressSkewNS
-		}
-	}
-	return r, nil
-}
-
-// Run drives one final (or sole) segment of traffic: every
-// observation, including any withheld by earlier RunSegment calls, is
-// delivered. Equivalent to RunSegment with an unbounded horizon; call
-// with an empty packet slice to flush withheld observations after an
-// early stop.
-func (r *Runner) Run(pkts []packet.Packet, observers map[receipt.HOPID]Observer) (*Result, error) {
-	return r.RunSegment(pkts, observers, int64(1)<<62)
-}
-
-// RunSegment drives one segment of traffic (in send order) across the
-// path and returns that segment's ground truth. horizonNS promises
-// that every future packet is sent at or after it; observations that
-// could interleave with such packets are withheld and delivered by the
-// next call, keeping each HOP's replay in global arrival order across
-// segments.
-func (r *Runner) RunSegment(pkts []packet.Packet, observers map[receipt.HOPID]Observer, horizonNS int64) (*Result, error) {
-	p := r.p
-	nHops := p.NumHOPs()
-	jitterRngs, linkRngs := r.jitterRngs, r.linkRngs
-
-	res := &Result{
-		Sent:      len(pkts),
-		LinkDrops: make([]uint64, len(p.Links)),
-	}
-	for d := range p.Domains {
-		in, eg := p.HOPsOf(d)
-		res.Domains = append(res.Domains, DomainTruth{
-			Name:    p.Domains[d].Name,
-			Ingress: in,
-			Egress:  eg,
-		})
-	}
-
-	digests := make([]uint64, len(pkts))
-	parallelChunks(len(pkts), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			digests[i] = pkts[i].Digest(p.Seed)
-		}
-	})
-
-	obsPerHop := make([][]hopObservation, nHops+1) // 1-based HOP IDs
-
-	record := func(hop receipt.HOPID, pktIdx int, t int64) {
-		obsPerHop[hop] = append(obsPerHop[hop], hopObservation{pktIdx: int32(pktIdx), timeNS: t})
-	}
-
-	for i := range pkts {
-		pkt := &pkts[i]
-		t := pkt.SentAt
-
-		// Stub source domain: observed at its egress HOP.
-		srcIn, srcEg := p.HOPsOf(0)
-		_ = srcIn
-		record(srcEg, i, t+p.Domains[0].EgressSkewNS)
-		res.Domains[0].In++
-		res.Domains[0].Out++
-
-		alive := true
-		for d := 1; d < len(p.Domains) && alive; d++ {
-			// Inter-domain link d-1 → d.
-			link := &p.Links[d-1]
-			if link.Loss != nil && link.Loss.Drop() {
-				res.LinkDrops[d-1]++
-				alive = false
-				break
-			}
-			t += link.DelayNS
-			if link.JitterNS > 0 {
-				t += int64(linkRngs[d-1].Float64() * float64(link.JitterNS))
-			}
-
-			dom := &p.Domains[d]
-			truth := &res.Domains[d]
-			in, eg := p.HOPsOf(d)
-			arrived := t
-			record(in, i, arrived+dom.IngressSkewNS)
-			truth.In++
-
-			if d == len(p.Domains)-1 {
-				// Destination stub: delivered.
-				truth.Out++
-				res.Delivered++
-				break
-			}
-
-			// Intra-domain crossing.
-			preferred := dom.Preferential != nil && dom.Preferential(pkt, digests[i])
-			if !preferred && dom.Loss != nil && dom.Loss.Drop() {
-				truth.DroppedInside++
-				alive = false
-				break
-			}
-			t += dom.BaseDelayNS
-			if !preferred && dom.Delay != nil {
-				t += dom.Delay.DelayOf(arrived, pkt.WireLen())
-			}
-			if dom.ReorderJitterNS > 0 {
-				t += int64(jitterRngs[d].Float64() * float64(dom.ReorderJitterNS))
-			}
-			record(eg, i, t+dom.EgressSkewNS)
-			truth.Out++
-			truth.TrueDelaysNS = append(truth.TrueDelaysNS, float64(t-arrived))
-			_ = eg
-		}
-	}
-
-	// Replay each HOP's observations in arrival order (see
-	// replayer.replay for the concurrency and withholding rules).
-	r.rep.replay(obsPerHop, observers, pkts, digests, horizonNS)
-	return res, nil
 }
 
 // ReplayBatchSize is the observation-slice granularity of the replay

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 
 	"vpm/internal/delaymodel"
@@ -35,7 +36,21 @@ func (r *recorder) Observe(_ *packet.Packet, digest uint64, tNS int64) {
 	r.times = append(r.times, tNS)
 }
 
-func allRecorders(p *Path) (map[receipt.HOPID]Observer, map[receipt.HOPID]*recorder) {
+// runOnce is a one-shot run of a default-route topology.
+func runOnce(tb testing.TB, p *Topology, pkts []packet.Packet, obs map[receipt.HOPID]Observer) *Result {
+	tb.Helper()
+	r, err := NewRunner(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := r.Run(pkts, obs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
+func allRecorders(p *Topology) (map[receipt.HOPID]Observer, map[receipt.HOPID]*recorder) {
 	obs := make(map[receipt.HOPID]Observer)
 	recs := make(map[receipt.HOPID]*recorder)
 	for h := 1; h <= p.NumHOPs(); h++ {
@@ -47,16 +62,23 @@ func allRecorders(p *Path) (map[receipt.HOPID]Observer, map[receipt.HOPID]*recor
 }
 
 func TestValidate(t *testing.T) {
-	p := &Path{Domains: []DomainSpec{{Name: "A"}}}
+	p := &Topology{Domains: []DomainSpec{{Name: "A"}}}
 	if err := p.Validate(); err == nil {
-		t.Error("single-domain path accepted")
+		t.Error("single-domain topology accepted")
 	}
-	p = &Path{Domains: []DomainSpec{{Name: "A"}, {Name: "B"}}}
+	p = &Topology{Domains: []DomainSpec{{Name: "A"}, {Name: "B"}}}
 	if err := p.Validate(); err == nil {
 		t.Error("missing links accepted")
 	}
-	if _, err := p.Run(nil, nil); err == nil {
-		t.Error("Run on invalid path accepted")
+	if _, err := NewRunner(p); err == nil {
+		t.Error("runner on invalid topology accepted")
+	}
+	// Only a topology whose routes are all default routes runs without
+	// a prefix table.
+	keyed := Fig1Path(1)
+	keyed.Routes[0].Key = TopoKeys(1)[0]
+	if _, err := NewRunner(keyed); err == nil {
+		t.Error("keyed routes accepted without a prefix table")
 	}
 }
 
@@ -68,17 +90,21 @@ func TestFig1Shape(t *testing.T) {
 	if p.NumHOPs() != 8 {
 		t.Fatalf("Fig1 has %d HOPs, want 8", p.NumHOPs())
 	}
-	in, eg := p.HOPsOf(p.DomainIndex("X"))
-	if in != 4 || eg != 5 {
-		t.Fatalf("X HOPs = %d,%d, want 4,5", in, eg)
+	if len(p.Routes) != 1 || p.Routes[0].Key != (packet.PathKey{}) {
+		t.Fatalf("Fig1 routes = %+v, want one default route", p.Routes)
 	}
-	in, eg = p.HOPsOf(0)
-	if in != 1 || eg != 1 {
-		t.Fatalf("S HOPs = %d,%d", in, eg)
+	want := []receipt.HOPID{1, 2, 3, 4, 5, 6, 7, 8}
+	if got := p.RouteHOPs(0); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Fig1 route HOPs = %v, want %v", got, want)
 	}
-	in, eg = p.HOPsOf(4)
-	if in != 8 || eg != 8 {
-		t.Fatalf("D HOPs = %d,%d", in, eg)
+	// HOP owners: S egress 1, L 2/3, X 4/5, N 6/7, D ingress 8.
+	for h, name := range []string{1: "S", 2: "L", 3: "L", 4: "X", 5: "X", 6: "N", 7: "N", 8: "D"} {
+		if h == 0 {
+			continue
+		}
+		if got := p.Domains[p.HOPDomain(receipt.HOPID(h))].Name; got != name {
+			t.Fatalf("HOP %d owned by %s, want %s", h, got, name)
+		}
 	}
 	if p.DomainIndex("nope") != -1 {
 		t.Error("bogus domain found")
@@ -91,9 +117,9 @@ func TestConservation(t *testing.T) {
 	p.Domains[xi].Loss = lossmodel.NewBernoulli(0.1, stats.NewRNG(3))
 	p.Links[1].Loss = lossmodel.NewBernoulli(0.05, stats.NewRNG(4))
 	pkts := testTrace(t, 20000, int64(1e9))
-	res, err := p.Run(pkts, nil)
-	if err != nil {
-		t.Fatal(err)
+	res := runOnce(t, p, pkts, nil)
+	if res.Unrouted != 0 {
+		t.Fatalf("%d packets unrouted on a default route", res.Unrouted)
 	}
 	var linkDrops uint64
 	for _, d := range res.LinkDrops {
@@ -130,10 +156,7 @@ func TestTrueDelaysRecorded(t *testing.T) {
 	// The Figure 2 experiments drive 100k pkt/s through X; the bursty
 	// scenario is calibrated against that foreground load.
 	pkts := testTrace(t, 100000, int64(500e6))
-	res, err := p.Run(pkts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOnce(t, p, pkts, nil)
 	x, _ := res.DomainByName("X")
 	if uint64(len(x.TrueDelaysNS)) != x.Out {
 		t.Fatalf("%d delays for %d delivered packets", len(x.TrueDelaysNS), x.Out)
@@ -163,10 +186,7 @@ func TestObserverOrderAndCompleteness(t *testing.T) {
 	p := Fig1Path(4)
 	obs, recs := allRecorders(p)
 	pkts := testTrace(t, 20000, int64(300e6))
-	res, err := p.Run(pkts, obs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOnce(t, p, pkts, obs)
 	for h := 1; h <= 8; h++ {
 		r := recs[receipt.HOPID(h)]
 		for i := 1; i < len(r.times); i++ {
@@ -192,16 +212,10 @@ func TestSharedObserverStaysSequential(t *testing.T) {
 	pkts := testTrace(t, 20000, int64(200e6))
 
 	sep4, sep5 := &recorder{}, &recorder{}
-	p := Fig1Path(12)
-	if _, err := p.Run(pkts, map[receipt.HOPID]Observer{4: sep4, 5: sep5}); err != nil {
-		t.Fatal(err)
-	}
+	runOnce(t, Fig1Path(12), pkts, map[receipt.HOPID]Observer{4: sep4, 5: sep5})
 
 	shared := &recorder{}
-	p = Fig1Path(12)
-	if _, err := p.Run(pkts, map[receipt.HOPID]Observer{4: shared, 5: shared}); err != nil {
-		t.Fatal(err)
-	}
+	runOnce(t, Fig1Path(12), pkts, map[receipt.HOPID]Observer{4: shared, 5: shared})
 
 	want := append(append([]uint64{}, sep4.ids...), sep5.ids...)
 	if len(shared.ids) != len(want) {
@@ -220,16 +234,10 @@ func TestBatchObserverDelivery(t *testing.T) {
 	pkts := testTrace(t, 20000, int64(200e6))
 
 	plain := &recorder{}
-	p := Fig1Path(13)
-	if _, err := p.Run(pkts, map[receipt.HOPID]Observer{4: plain}); err != nil {
-		t.Fatal(err)
-	}
+	runOnce(t, Fig1Path(13), pkts, map[receipt.HOPID]Observer{4: plain})
 
 	batched := &batchRecorder{}
-	p = Fig1Path(13)
-	if _, err := p.Run(pkts, map[receipt.HOPID]Observer{4: batched}); err != nil {
-		t.Fatal(err)
-	}
+	runOnce(t, Fig1Path(13), pkts, map[receipt.HOPID]Observer{4: batched})
 
 	if batched.singles != 0 {
 		t.Fatalf("BatchObserver got %d single-packet calls", batched.singles)
@@ -272,9 +280,7 @@ func TestReorderingOccursWithinJitter(t *testing.T) {
 	// Packets at 100k pkt/s are ~10µs apart; 200µs jitter reorders.
 	obs, recs := allRecorders(p)
 	pkts := testTrace(t, 100000, int64(200e6))
-	if _, err := p.Run(pkts, obs); err != nil {
-		t.Fatal(err)
-	}
+	runOnce(t, p, pkts, obs)
 	// Compare arrival order at HOP 1 (send order) and HOP 5 (after
 	// domains with jitter).
 	order1 := recs[1].ids
@@ -309,9 +315,7 @@ func TestClockSkewShiftsObservations(t *testing.T) {
 	p.Domains[xi].IngressSkewNS = skew
 	obs, recs := allRecorders(p)
 	pkts := testTrace(t, 5000, int64(100e6))
-	if _, err := p.Run(pkts, obs); err != nil {
-		t.Fatal(err)
-	}
+	runOnce(t, p, pkts, obs)
 	// HOP 4 (X ingress, skewed) must timestamp later than HOP 3 (L
 	// egress) by at least skew (link delay only adds).
 	r3, r4 := recs[3], recs[4]
@@ -333,10 +337,7 @@ func TestPreferentialBypassesLossAndDelay(t *testing.T) {
 	p.Domains[xi].Loss = lossmodel.NewBernoulli(0.5, stats.NewRNG(1))
 	p.Domains[xi].Preferential = func(*packet.Packet, uint64) bool { return true }
 	pkts := testTrace(t, 10000, int64(200e6))
-	res, err := p.Run(pkts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOnce(t, p, pkts, nil)
 	x, _ := res.DomainByName("X")
 	if x.DroppedInside != 0 {
 		t.Fatalf("preferential treatment should bypass loss, dropped %d", x.DroppedInside)
@@ -348,11 +349,7 @@ func TestDeterminism(t *testing.T) {
 		p := Fig1Path(8)
 		p.Domains[2].Loss = lossmodel.NewBernoulli(0.2, stats.NewRNG(5))
 		pkts := testTrace(t, 20000, int64(200e6))
-		res, err := p.Run(pkts, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return runOnce(t, p, pkts, nil)
 	}
 	a, b := run(), run()
 	if a.Delivered != b.Delivered {
@@ -365,31 +362,41 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestPathIDFor: on Fig1's default route, HOP h stamps neighbors h-1
+// and h+1 (0 past either end) and its own link's MaxDiff — for any key,
+// including one no prefix table routes.
 func TestPathIDFor(t *testing.T) {
 	p := Fig1Path(9)
-	key := receipt.PathKeyOf(
-		packet.MakePrefix(10, 1, 0, 0, 16),
-		packet.MakePrefix(172, 16, 0, 0, 16), 0, 0, 0)
-	xi := p.DomainIndex("X")
-	ingressID := p.PathIDFor(key, xi, true)
-	if ingressID.PrevHOP != 3 || ingressID.NextHOP != 5 {
-		t.Errorf("X ingress prev/next = %v/%v, want 3/5", ingressID.PrevHOP, ingressID.NextHOP)
+	p.Links[1].MaxDiffNS = 2_500_000 // L→X, so the two X HOPs differ
+	key := packet.PathKey{
+		Src: packet.MakePrefix(10, 1, 0, 0, 16),
+		Dst: packet.MakePrefix(172, 16, 0, 0, 16),
 	}
-	if ingressID.MaxDiffNS != p.Links[1].MaxDiffNS {
-		t.Errorf("X ingress MaxDiff = %d", ingressID.MaxDiffNS)
-	}
-	egressID := p.PathIDFor(key, xi, false)
-	if egressID.PrevHOP != 4 || egressID.NextHOP != 6 {
-		t.Errorf("X egress prev/next = %v/%v, want 4/6", egressID.PrevHOP, egressID.NextHOP)
-	}
-	// Path ends: no prev for HOP 1, no next for HOP 8.
-	srcID := p.PathIDFor(key, 0, false)
-	if srcID.PrevHOP != 0 || srcID.NextHOP != 2 {
-		t.Errorf("S egress prev/next = %v/%v", srcID.PrevHOP, srcID.NextHOP)
-	}
-	dstID := p.PathIDFor(key, 4, true)
-	if dstID.PrevHOP != 7 || dstID.NextHOP != 0 {
-		t.Errorf("D ingress prev/next = %v/%v", dstID.PrevHOP, dstID.NextHOP)
+	unrouted := TopoKeys(3)[2]
+	for _, k := range []packet.PathKey{key, unrouted} {
+		ingressID := p.PathIDFor(k, 4) // X ingress
+		if ingressID.Key != k || ingressID.PrevHOP != 3 || ingressID.NextHOP != 5 {
+			t.Errorf("X ingress = %+v, want key %v prev/next 3/5", ingressID, k)
+		}
+		if ingressID.MaxDiffNS != p.Links[1].MaxDiffNS {
+			t.Errorf("X ingress MaxDiff = %d", ingressID.MaxDiffNS)
+		}
+		egressID := p.PathIDFor(k, 5) // X egress
+		if egressID.PrevHOP != 4 || egressID.NextHOP != 6 {
+			t.Errorf("X egress prev/next = %v/%v, want 4/6", egressID.PrevHOP, egressID.NextHOP)
+		}
+		if egressID.MaxDiffNS != p.Links[2].MaxDiffNS {
+			t.Errorf("X egress MaxDiff = %d", egressID.MaxDiffNS)
+		}
+		// Path ends: no prev for HOP 1, no next for HOP 8.
+		srcID := p.PathIDFor(k, 1)
+		if srcID.PrevHOP != 0 || srcID.NextHOP != 2 {
+			t.Errorf("S egress prev/next = %v/%v", srcID.PrevHOP, srcID.NextHOP)
+		}
+		dstID := p.PathIDFor(k, 8)
+		if dstID.PrevHOP != 7 || dstID.NextHOP != 0 {
+			t.Errorf("D ingress prev/next = %v/%v", dstID.PrevHOP, dstID.NextHOP)
+		}
 	}
 }
 
@@ -399,9 +406,7 @@ func TestPartialDeploymentRuns(t *testing.T) {
 	r := &recorder{}
 	obs := map[receipt.HOPID]Observer{4: r}
 	pkts := testTrace(t, 5000, int64(100e6))
-	if _, err := p.Run(pkts, obs); err != nil {
-		t.Fatal(err)
-	}
+	runOnce(t, p, pkts, obs)
 	if len(r.ids) == 0 {
 		t.Error("lone observer saw nothing")
 	}
@@ -411,10 +416,7 @@ func BenchmarkRunFig1(b *testing.B) {
 	pkts := testTrace(b, 100000, int64(100e6))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := Fig1Path(11)
-		if _, err := p.Run(pkts, nil); err != nil {
-			b.Fatal(err)
-		}
+		runOnce(b, Fig1Path(11), pkts, nil)
 	}
 }
 
@@ -422,7 +424,7 @@ func BenchmarkRunFig1(b *testing.B) {
 // congestion inside X, so the Runner's state-persistence claim is
 // exercised against every kind of simulation state, not just jitter
 // RNGs.
-func lossyCongestedFig1(t *testing.T, seed uint64) *Path {
+func lossyCongestedFig1(t *testing.T, seed uint64) *Topology {
 	t.Helper()
 	p := Fig1Path(seed)
 	xi := p.DomainIndex("X")
@@ -450,10 +452,7 @@ func TestRunnerSegmentsMatchOneShot(t *testing.T) {
 
 	oneObs, oneRecs := allRecorders(Fig1Path(0)) // shape only
 	oneShot := lossyCongestedFig1(t, 33)
-	resOne, err := oneShot.Run(pkts, oneObs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resOne := runOnce(t, oneShot, pkts, oneObs)
 
 	segPath := lossyCongestedFig1(t, 33)
 	runner, err := NewRunner(segPath)

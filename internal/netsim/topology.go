@@ -1,7 +1,8 @@
-// Topology generalizes the linear Path to an arbitrary directed domain
+// Topology is the simulator's network: an arbitrary directed domain
 // graph — the shape real inter-domain measurement platforms exercise,
 // where one backbone link carries traffic for many origin-prefix paths
-// and blame must localize despite the sharing.
+// and blame must localize despite the sharing. A linear path such as
+// Figure 1's is the chain with one default route.
 //
 // The model keeps the paper's HOP semantics: a HOP is a hand-off point
 // at a domain's interface onto one inter-domain link, so every directed
@@ -14,25 +15,23 @@
 //     naturally files receipts for many traffic keys, and the indexed
 //     (HOP, key) receipt store needs no changes to hold a mesh.
 //   - MaxDiff is unambiguous. A HOP reports about exactly the link it
-//     sits on, so the bound it advertises is always its own link's —
-//     no reporting-direction case analysis as in the linear PathIDFor.
+//     sits on, so the bound it advertises is always its own link's.
 //
 // Multipath (ECMP) is a traffic key with several routes: the runner
 // hash-splits the key's packets across them by packet digest, the way
 // a router's flow hash would. Routes of one key may share their first
 // and last legs (the realistic ECMP shape) — at a HOP where the key's
 // routes branch or merge, the stamped PathID records prev/next HOP 0,
-// the same "path ends here" convention the linear encoding uses.
+// the same "path ends here" convention a route's first and last HOPs
+// use.
 package netsim
 
 import (
 	"fmt"
 	"sync"
 
-	"vpm/internal/hashing"
 	"vpm/internal/packet"
 	"vpm/internal/receipt"
-	"vpm/internal/stats"
 )
 
 // TopoLink is one directed inter-domain link of a topology. A
@@ -51,18 +50,19 @@ type TopoLink struct {
 // destination domain. Several routes may carry the same Key — that is
 // ECMP multipath, hash-split per packet by the runner.
 type Route struct {
-	// Key is the origin-prefix pair routed along this sequence.
+	// Key is the origin-prefix pair routed along this sequence. The
+	// zero key (0.0.0.0/0 → 0.0.0.0/0) makes a default route: it
+	// carries every packet whose key has no route of its own.
 	Key packet.PathKey
 	// Links are indices into Topology.Links; Links[i].To must equal
 	// Links[i+1].From.
 	Links []int
 }
 
-// Topology is a directed domain graph with a route table. It reuses
-// DomainSpec and LinkSpec wholesale, so every intra-domain model
-// (loss, congestion queues, skew, preferential treatment) carries over
-// from the linear simulator unchanged — and, like there, the stateful
-// loss and queue processes attached to the specs are consulted in
+// Topology is a directed domain graph with a route table. Its
+// DomainSpecs and LinkSpecs carry every intra-domain and link model
+// (loss, congestion queues, skew, preferential treatment); the
+// stateful loss and queue processes attached to them are consulted in
 // global packet send order, shared by every route crossing them.
 type Topology struct {
 	Domains []DomainSpec
@@ -73,23 +73,12 @@ type Topology struct {
 	Seed uint64
 
 	// idx caches the per-key route lists, built once on first routing
-	// query (RoutesForKey, PathIDFor). Without it every per-key query
-	// scans the whole route table — quadratic once a fleet-scale table
-	// holds a million keys. Finish building Routes before querying.
+	// query (RoutesForKey, PathIDFor, a runner). Without it every
+	// per-key query scans the whole route table — quadratic once a
+	// fleet-scale table holds a million keys. Finish building Routes
+	// before querying.
 	idxOnce sync.Once
 	idx     map[packet.PathKey][]int
-}
-
-// keyRoutes returns the indices of the routes carrying key, in
-// route-table order, from the lazily built per-key index.
-func (t *Topology) keyRoutes(key packet.PathKey) []int {
-	t.idxOnce.Do(func() {
-		t.idx = make(map[packet.PathKey][]int, len(t.Routes))
-		for i := range t.Routes {
-			t.idx[t.Routes[i].Key] = append(t.idx[t.Routes[i].Key], i)
-		}
-	})
-	return t.idx[key]
 }
 
 // Validate checks structural invariants: link endpoints in range,
@@ -178,7 +167,7 @@ func (t *Topology) DomainIndex(name string) int {
 // RouteHOPs returns route r's HOP sequence in traversal order: the
 // origin's egress onto the first link, then each transit domain's
 // ingress and egress pair, then the destination's ingress off the last
-// link — 2·len(links) HOPs, the same shape as a linear path's.
+// link — 2·len(links) HOPs.
 func (t *Topology) RouteHOPs(r int) []receipt.HOPID {
 	rt := &t.Routes[r]
 	out := make([]receipt.HOPID, 0, 2*len(rt.Links))
@@ -202,11 +191,21 @@ func (t *Topology) RouteDomains(r int) []int {
 }
 
 // RoutesForKey returns the indices of the routes carrying key, in
-// route-table order — one for single-path keys, several for ECMP.
-// The first call builds a per-key index, so the route table must be
-// complete by then.
+// route-table order — one for single-path keys, several for ECMP. A
+// key with no route of its own gets the default routes (see Route.Key),
+// none on a topology without them. The first call builds a per-key
+// index, so the route table must be complete by then.
 func (t *Topology) RoutesForKey(key packet.PathKey) []int {
-	return t.keyRoutes(key)
+	t.idxOnce.Do(func() {
+		t.idx = make(map[packet.PathKey][]int, len(t.Routes))
+		for i := range t.Routes {
+			t.idx[t.Routes[i].Key] = append(t.idx[t.Routes[i].Key], i)
+		}
+	})
+	if rs := t.idx[key]; len(rs) > 0 {
+		return rs
+	}
+	return t.idx[packet.PathKey{}]
 }
 
 // Keys returns the distinct traffic keys in the route table, in
@@ -242,7 +241,7 @@ func (t *Topology) PathIDFor(key packet.PathKey, h receipt.HOPID) receipt.PathID
 	var prev, next receipt.HOPID
 	first := true
 	prevAmbig, nextAmbig := false, false
-	for _, ri := range t.keyRoutes(key) {
+	for _, ri := range t.RoutesForKey(key) {
 		hops := t.RouteHOPs(ri)
 		for pos, hh := range hops {
 			if hh != h {
@@ -280,19 +279,10 @@ func (t *Topology) PathIDFor(key packet.PathKey, h receipt.HOPID) receipt.PathID
 // MaxFanIn returns the largest number of distinct traffic keys sharing
 // one directed link — the topology's sharing degree.
 func (t *Topology) MaxFanIn() int {
-	keysPerLink := make([]map[packet.PathKey]bool, len(t.Links))
-	for ri := range t.Routes {
-		for _, li := range t.Routes[ri].Links {
-			if keysPerLink[li] == nil {
-				keysPerLink[li] = make(map[packet.PathKey]bool)
-			}
-			keysPerLink[li][t.Routes[ri].Key] = true
-		}
-	}
 	max := 0
-	for _, m := range keysPerLink {
-		if len(m) > max {
-			max = len(m)
+	for _, n := range t.keysPerLink() {
+		if n > max {
+			max = n
 		}
 	}
 	return max
@@ -301,251 +291,30 @@ func (t *Topology) MaxFanIn() int {
 // SharedLinks returns the indices of links carrying two or more
 // distinct traffic keys, in link order.
 func (t *Topology) SharedLinks() []int {
-	keysPerLink := make([]map[packet.PathKey]bool, len(t.Links))
-	for ri := range t.Routes {
-		for _, li := range t.Routes[ri].Links {
-			if keysPerLink[li] == nil {
-				keysPerLink[li] = make(map[packet.PathKey]bool)
-			}
-			keysPerLink[li][t.Routes[ri].Key] = true
-		}
-	}
 	var out []int
-	for li, m := range keysPerLink {
-		if len(m) >= 2 {
+	for li, n := range t.keysPerLink() {
+		if n >= 2 {
 			out = append(out, li)
 		}
 	}
 	return out
 }
 
-// TopoResult is the ground truth of one topology simulation segment.
-type TopoResult struct {
-	Sent      int
-	Delivered int
-	// Unrouted counts packets whose classified key had no route (or
-	// that matched no prefix at all) — cross-traffic outside the route
-	// table crosses no HOP.
-	Unrouted int
-	// Domains holds per-domain ground truth, indexed like
-	// Topology.Domains. A mesh domain owns many HOPs, so the linear
-	// Ingress/Egress fields stay zero; the counters aggregate every
-	// route crossing the domain.
-	Domains []DomainTruth
-	// LinkDrops counts packets lost on each directed link, indexed
-	// like Topology.Links.
-	LinkDrops []uint64
-	// RouteDelivered counts delivered packets per route, indexed like
-	// Topology.Routes — the ECMP split observed.
-	RouteDelivered []int
-}
-
-// DomainByName returns the truth record for the named domain.
-func (r *TopoResult) DomainByName(name string) (*DomainTruth, bool) {
-	for i := range r.Domains {
-		if r.Domains[i].Name == name {
-			return &r.Domains[i], true
-		}
-	}
-	return nil, false
-}
-
-// TopoRunner drives traffic across a topology in consecutive segments,
-// exactly like Runner does for a linear path: all randomness and
-// queue/loss state persists between calls, and replay withholding
-// keeps each HOP's delivered observation stream in global arrival
-// order across segment boundaries (the replayer is shared with
-// Runner, so the equivalence argument is too).
-type TopoRunner struct {
-	t     *Topology
-	table *packet.Table
-	// Per-domain reorder-jitter and per-link jitter RNG streams, split
-	// once from the topology seed in domain-then-link order — the same
-	// discipline NewRunner uses.
-	jitterRngs []*stats.RNG
-	linkRngs   []*stats.RNG
-	rep        *replayer
-	// routesByKey resolves a classified packet to its candidate
-	// routes; routeSalt keys the ECMP split so it is uncorrelated with
-	// the digest comparisons the sampling layer makes.
-	routesByKey map[packet.PathKey][]int
-	routeHOPs   [][]receipt.HOPID
-	routeDoms   [][]int
-	routeSalt   uint64
-}
-
-// NewTopoRunner validates the topology and prepares persistent
-// simulation state. table classifies packet addresses into traffic
-// keys (build it from the trace config, as deployments do).
-func NewTopoRunner(t *Topology, table *packet.Table) (*TopoRunner, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	if table == nil {
-		return nil, fmt.Errorf("netsim: topo runner needs a prefix table")
-	}
-	rng := stats.NewRNG(t.Seed ^ 0xabcdef)
-	r := &TopoRunner{
-		t:           t,
-		table:       table,
-		jitterRngs:  make([]*stats.RNG, len(t.Domains)),
-		linkRngs:    make([]*stats.RNG, len(t.Links)),
-		rep:         newReplayer(t.NumHOPs()),
-		routesByKey: make(map[packet.PathKey][]int),
-		routeHOPs:   make([][]receipt.HOPID, len(t.Routes)),
-		routeDoms:   make([][]int, len(t.Routes)),
-		routeSalt:   t.Seed ^ 0x9e3779b97f4a7c15,
-	}
-	for i := range r.jitterRngs {
-		r.jitterRngs[i] = rng.Split()
-	}
-	for i := range r.linkRngs {
-		r.linkRngs[i] = rng.Split()
-	}
+// keysPerLink counts the distinct traffic keys routed over each link,
+// indexed like Links.
+func (t *Topology) keysPerLink() []int {
+	keys := make([]map[packet.PathKey]bool, len(t.Links))
 	for ri := range t.Routes {
-		r.routesByKey[t.Routes[ri].Key] = append(r.routesByKey[t.Routes[ri].Key], ri)
-		r.routeHOPs[ri] = t.RouteHOPs(ri)
-		r.routeDoms[ri] = t.RouteDomains(ri)
-	}
-	// Minimum observation delay per HOP: the minimum over all routes
-	// through it of the cumulative link propagation + base transit
-	// delay (jitter, congestion and queueing only add), plus the HOP's
-	// clock skew.
-	seen := make([]bool, t.NumHOPs()+1)
-	for ri := range t.Routes {
-		acc := int64(0)
-		doms := r.routeDoms[ri]
-		for j, li := range t.Routes[ri].Links {
-			eg, in := t.LinkHOPs(li)
-			egT := acc + t.Domains[doms[j]].EgressSkewNS
-			if !seen[eg] || egT < r.rep.minObsNS[eg] {
-				r.rep.minObsNS[eg] = egT
-				seen[eg] = true
+		for _, li := range t.Routes[ri].Links {
+			if keys[li] == nil {
+				keys[li] = make(map[packet.PathKey]bool)
 			}
-			acc += t.Links[li].DelayNS
-			inT := acc + t.Domains[doms[j+1]].IngressSkewNS
-			if !seen[in] || inT < r.rep.minObsNS[in] {
-				r.rep.minObsNS[in] = inT
-				seen[in] = true
-			}
-			acc += t.Domains[doms[j+1]].BaseDelayNS
+			keys[li][t.Routes[ri].Key] = true
 		}
 	}
-	return r, nil
-}
-
-// Run drives one final (or sole) segment: every observation, including
-// any withheld by earlier RunSegment calls, is delivered. Call with an
-// empty packet slice to flush withheld observations.
-func (r *TopoRunner) Run(pkts []packet.Packet, observers map[receipt.HOPID]Observer) (*TopoResult, error) {
-	return r.RunSegment(pkts, observers, int64(1)<<62)
-}
-
-// RunSegment drives one segment of traffic (in send order) across the
-// topology and returns that segment's ground truth. horizonNS promises
-// that every future packet is sent at or after it; observations that
-// could still interleave with such packets are withheld and delivered
-// by the next call (see Runner.RunSegment — the semantics are
-// identical, only the forwarding sweep differs).
-func (r *TopoRunner) RunSegment(pkts []packet.Packet, observers map[receipt.HOPID]Observer, horizonNS int64) (*TopoResult, error) {
-	t := r.t
-	res := &TopoResult{
-		Sent:           len(pkts),
-		LinkDrops:      make([]uint64, len(t.Links)),
-		RouteDelivered: make([]int, len(t.Routes)),
+	out := make([]int, len(keys))
+	for li, m := range keys {
+		out[li] = len(m)
 	}
-	for d := range t.Domains {
-		res.Domains = append(res.Domains, DomainTruth{Name: t.Domains[d].Name})
-	}
-
-	digests := make([]uint64, len(pkts))
-	parallelChunks(len(pkts), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			digests[i] = pkts[i].Digest(t.Seed)
-		}
-	})
-
-	obsPerHop := make([][]hopObservation, t.NumHOPs()+1) // 1-based HOP IDs
-	record := func(hop receipt.HOPID, pktIdx int, tm int64) {
-		obsPerHop[hop] = append(obsPerHop[hop], hopObservation{pktIdx: int32(pktIdx), timeNS: tm})
-	}
-
-	for i := range pkts {
-		pkt := &pkts[i]
-		key, ok := r.table.Classify(pkt)
-		if !ok {
-			res.Unrouted++
-			continue
-		}
-		routes := r.routesByKey[key]
-		if len(routes) == 0 {
-			res.Unrouted++
-			continue
-		}
-		ri := routes[0]
-		if len(routes) > 1 {
-			// ECMP: split by a salted digest hash, the flow-hash a
-			// router would compute — deterministic per packet, and
-			// uncorrelated with the marker/sampling digest comparisons.
-			ri = routes[int(hashing.SampleFcn(digests[i], r.routeSalt)%uint64(len(routes)))]
-		}
-		rt := &t.Routes[ri]
-		doms := r.routeDoms[ri]
-		tm := pkt.SentAt
-
-		// Origin domain: observed at its egress onto the first link.
-		srcEg, _ := t.LinkHOPs(rt.Links[0])
-		record(srcEg, i, tm+t.Domains[doms[0]].EgressSkewNS)
-		res.Domains[doms[0]].In++
-		res.Domains[doms[0]].Out++
-
-		for j, li := range rt.Links {
-			link := &t.Links[li]
-			if link.Loss != nil && link.Loss.Drop() {
-				res.LinkDrops[li]++
-				break
-			}
-			tm += link.DelayNS
-			if link.JitterNS > 0 {
-				tm += int64(r.linkRngs[li].Float64() * float64(link.JitterNS))
-			}
-
-			di := doms[j+1]
-			dom := &t.Domains[di]
-			truth := &res.Domains[di]
-			_, in := t.LinkHOPs(li)
-			arrived := tm
-			record(in, i, arrived+dom.IngressSkewNS)
-			truth.In++
-
-			if j == len(rt.Links)-1 {
-				// Destination domain: delivered.
-				truth.Out++
-				res.Delivered++
-				res.RouteDelivered[ri]++
-				break
-			}
-
-			// Intra-domain crossing to the egress onto the next link.
-			preferred := dom.Preferential != nil && dom.Preferential(pkt, digests[i])
-			if !preferred && dom.Loss != nil && dom.Loss.Drop() {
-				truth.DroppedInside++
-				break
-			}
-			tm += dom.BaseDelayNS
-			if !preferred && dom.Delay != nil {
-				tm += dom.Delay.DelayOf(arrived, pkt.WireLen())
-			}
-			if dom.ReorderJitterNS > 0 {
-				tm += int64(r.jitterRngs[di].Float64() * float64(dom.ReorderJitterNS))
-			}
-			eg, _ := t.LinkHOPs(rt.Links[j+1])
-			record(eg, i, tm+dom.EgressSkewNS)
-			truth.Out++
-			truth.TrueDelaysNS = append(truth.TrueDelaysNS, float64(tm-arrived))
-		}
-	}
-
-	r.rep.replay(obsPerHop, observers, pkts, digests, horizonNS)
-	return res, nil
+	return out
 }

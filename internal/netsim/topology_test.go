@@ -64,8 +64,7 @@ func topoTrace(t *testing.T, keys []packet.PathKey, ratePPS float64, durNS int64
 }
 
 func TestTopologyValidate(t *testing.T) {
-	key := TopoKeys(1)[0]
-	good := LinearTopology(1, 4, key)
+	good := LinearPath(1, 4)
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid topology rejected: %v", err)
 	}
@@ -84,7 +83,7 @@ func TestTopologyValidate(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
-		tp := LinearTopology(1, 4, key)
+		tp := LinearPath(1, 4)
 		c.mut(tp)
 		if err := tp.Validate(); err == nil {
 			t.Errorf("%s: expected a validation error", c.name)
@@ -92,96 +91,89 @@ func TestTopologyValidate(t *testing.T) {
 	}
 }
 
-// TestTopoLinearEquivalence: the mesh engine run over a linear
-// topology delivers, HOP for HOP and observation for observation, the
-// exact stream the linear Runner delivers for the equivalent Path —
-// same HOP numbering, same RNG discipline, same arrival order.
+// TestTopoLinearEquivalence: a chain's one default route carries
+// every packet exactly as the same chain with one keyed route per
+// traffic key does — HOP for HOP and observation for observation, with
+// identical ground truth and nothing unrouted — and it runs without a
+// prefix table. This is the regression check for folding the linear
+// path into the topology.
 func TestTopoLinearEquivalence(t *testing.T) {
-	const nDomains = 5
-	key := packet.PathKey{
-		Src: packet.MakePrefix(10, 1, 0, 0, 16),
-		Dst: packet.MakePrefix(172, 16, 0, 0, 16),
-	}
-	tc := trace.Config{
-		Seed:       7,
-		DurationNS: 2e8,
-		Paths:      []trace.PathSpec{trace.DefaultPath(50000)},
-	}
-	pkts, err := trace.Generate(tc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const nDomains = 9 // 16 HOPs
+	keys := TopoKeys(2)
+	tc, pkts := topoTrace(t, keys, 20000, 4e8)
 
 	const seed = 42
-	lin := LinearPath(seed, nDomains)
-	topo := LinearTopology(seed, nDomains, key)
 	// Same stochastic world on both: loss and congestion inside T2,
 	// loss on the first link, skew on T1 — separate process instances
 	// with identical seeds.
-	perturb := func(setDomLoss func(int, lossmodel.Process), setLinkLoss func(int, lossmodel.Process), doms []DomainSpec, links func(int) *LinkSpec) {
+	build := func() *Topology {
+		tp := LinearPath(seed, nDomains)
 		dl, err := lossmodel.FromTargetLoss(0.05, 4, stats.NewRNG(99))
 		if err != nil {
 			t.Fatal(err)
 		}
-		setDomLoss(2, dl)
+		tp.Domains[2].Loss = dl
 		ll, err := lossmodel.FromTargetLoss(0.02, 4, stats.NewRNG(77))
 		if err != nil {
 			t.Fatal(err)
 		}
-		setLinkLoss(0, ll)
-		doms[1].IngressSkewNS = 40_000
-		doms[1].EgressSkewNS = -25_000
+		tp.Links[0].Loss = ll
+		tp.Domains[1].IngressSkewNS = 40_000
+		tp.Domains[1].EgressSkewNS = -25_000
+		return tp
 	}
-	perturb(func(d int, p lossmodel.Process) { lin.Domains[d].Loss = p },
-		func(l int, p lossmodel.Process) { lin.Links[l].Loss = p },
-		lin.Domains, func(l int) *LinkSpec { return &lin.Links[l] })
-	perturb(func(d int, p lossmodel.Process) { topo.Domains[d].Loss = p },
-		func(l int, p lossmodel.Process) { topo.Links[l].Loss = p },
-		topo.Domains, func(l int) *LinkSpec { return &topo.Links[l].LinkSpec })
-
-	nHops := lin.NumHOPs()
-	if got := topo.NumHOPs(); got != nHops {
-		t.Fatalf("HOP count mismatch: linear %d, topo %d", nHops, got)
+	def := build()
+	keyed := build()
+	links := keyed.Routes[0].Links
+	keyed.Routes = nil
+	for _, k := range keys {
+		keyed.Routes = append(keyed.Routes, Route{Key: k, Links: links})
 	}
 
-	linObs, linRec := recorders(nHops)
-	linRes, err := lin.Run(append([]packet.Packet(nil), pkts...), linObs)
+	nHops := def.NumHOPs()
+	defRunner, err := NewRunner(def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defObs, defRec := recorders(nHops)
+	defRes, err := defRunner.Run(append([]packet.Packet(nil), pkts...), defObs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	tr, err := NewTopoRunner(topo, tc.Table())
+	keyedRunner, err := NewTopoRunner(keyed, tc.Table())
 	if err != nil {
 		t.Fatal(err)
 	}
-	topoObs, topoRec := recorders(nHops)
-	topoRes, err := tr.Run(append([]packet.Packet(nil), pkts...), topoObs)
+	keyedObs, keyedRec := recorders(nHops)
+	keyedRes, err := keyedRunner.Run(append([]packet.Packet(nil), pkts...), keyedObs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if linRes.Delivered != topoRes.Delivered {
-		t.Fatalf("delivered mismatch: linear %d, topo %d", linRes.Delivered, topoRes.Delivered)
+	if defRes.Unrouted != 0 || keyedRes.Unrouted != 0 {
+		t.Fatalf("unrouted packets: default %d, keyed %d", defRes.Unrouted, keyedRes.Unrouted)
+	}
+	if defRes.Delivered != keyedRes.Delivered || defRes.Delivered == 0 {
+		t.Fatalf("delivered mismatch: default %d, keyed %d", defRes.Delivered, keyedRes.Delivered)
 	}
 	for h := 1; h <= nHops; h++ {
-		a := linRec[receipt.HOPID(h)].got
-		b := topoRec[receipt.HOPID(h)].got
-		if len(a) != len(b) {
-			t.Fatalf("HOP %d: observation count mismatch: linear %d, topo %d", h, len(a), len(b))
+		a := defRec[receipt.HOPID(h)].got
+		b := keyedRec[receipt.HOPID(h)].got
+		if len(a) != len(b) || len(a) == 0 {
+			t.Fatalf("HOP %d: observation count mismatch: default %d, keyed %d", h, len(a), len(b))
 		}
 		for i := range a {
 			if a[i] != b[i] {
-				t.Fatalf("HOP %d: observation %d differs: linear %+v, topo %+v", h, i, a[i], b[i])
+				t.Fatalf("HOP %d: observation %d differs: default %+v, keyed %+v", h, i, a[i], b[i])
 			}
 		}
 	}
-	// Ground truth agrees per domain.
-	for d := range lin.Domains {
-		lt := linRes.Domains[d]
-		tt := topoRes.Domains[d]
-		if lt.In != tt.In || lt.Out != tt.Out || lt.DroppedInside != tt.DroppedInside {
-			t.Fatalf("domain %s truth mismatch: linear %+v, topo %+v", lt.Name, lt, tt)
-		}
+	if fmt.Sprint(defRes.Domains) != fmt.Sprint(keyedRes.Domains) {
+		t.Fatalf("domain truth mismatch:\ndefault %+v\nkeyed   %+v", defRes.Domains, keyedRes.Domains)
+	}
+	if fmt.Sprint(defRes.LinkDrops) != fmt.Sprint(keyedRes.LinkDrops) {
+		t.Fatalf("link drops mismatch: default %v, keyed %v", defRes.LinkDrops, keyedRes.LinkDrops)
 	}
 }
 

@@ -76,19 +76,20 @@
 //
 // # Mesh & multipath topologies
 //
-// Beyond linear paths, a Topology models an arbitrary directed domain
-// graph: every directed link contributes an egress and an ingress HOP,
-// so a link shared by many origin-prefix paths is one HOP pair whose
-// collectors file receipts for every traffic key crossing it. A Route
-// is one key's HOP sequence through the graph; several routes per key
-// is ECMP multipath, hash-split per packet by the TopoRunner (whose
-// segmented replay semantics match SimRunner's exactly). Named
-// families — StarTopology, TreeTopology, ClosTopology,
-// RandomASTopology — build mesh fixtures; NewTopoDeployment places
-// collectors on every routed HOP, verification runs per (key, route)
-// against RouteLayouts, and MergeBlames condenses per-key findings so
-// a faulty shared link is named by every key crossing it while honest
-// disjoint routes stay clean. See `vpm-bench -run topo`.
+// The simulated network is a Topology, a directed domain graph: every
+// directed link contributes an egress and an ingress HOP, so a link
+// shared by many origin-prefix paths is one HOP pair whose collectors
+// file receipts for every traffic key crossing it. A Route is one
+// key's HOP sequence through the graph; several routes per key is ECMP
+// multipath, hash-split per packet by the SimRunner. A route with the
+// zero PathKey is a default route that carries every packet: Fig1Path
+// is the Figure 1 chain with one. Named families — StarTopology,
+// TreeTopology, ClosTopology, RandomASTopology — build mesh fixtures;
+// NewDeployment places collectors on every routed HOP, verification
+// runs per (key, route) against RouteLayouts, and MergeBlames
+// condenses per-key findings so a faulty shared link is named by every
+// key crossing it while honest disjoint routes stay clean. See
+// `vpm-bench -run topo`.
 //
 // Quickstart (see examples/quickstart for the runnable version):
 //
@@ -98,7 +99,8 @@
 //	})
 //	path := vpm.Fig1Path(7)                  // S -> L -> X -> N -> D
 //	dep, _ := vpm.NewDeployment(path, table, vpm.DefaultDeployConfig())
-//	path.Run(pkts, dep.Observers())
+//	runner, _ := vpm.NewTopoRunner(path, table)
+//	runner.Run(pkts, dep.Observers())
 //	dep.Finalize()
 //	v := dep.NewVerifier(key)
 //	report, _ := v.DomainReport("X", vpm.DefaultQuantiles, 0.95)
@@ -324,9 +326,11 @@ func NewCollector(cfg CollectorConfig) (*Collector, error) { return core.NewColl
 // NewProcessor attaches a control-plane processor to a collector.
 func NewProcessor(c *Collector) *Processor { return core.NewProcessor(c) }
 
-// NewDeployment wires collectors onto every HOP of a path.
-func NewDeployment(p *Path, table *PrefixTable, cfg DeployConfig) (*Deployment, error) {
-	return core.NewDeployment(p, table, cfg)
+// NewDeployment wires collectors onto every routed HOP of a topology;
+// verify per (key, route) via Deployment.KeyLayouts, or against
+// Deployment.Layout on a topology with a default route.
+func NewDeployment(t *Topology, table *PrefixTable, cfg DeployConfig) (*Deployment, error) {
+	return core.NewDeployment(t, table, cfg)
 }
 
 // DefaultDeployConfig returns the baseline protocol parameters.
@@ -334,9 +338,7 @@ func DefaultDeployConfig() DeployConfig { return core.DefaultDeployConfig() }
 
 // Simulation substrate.
 type (
-	// Path is a linear inter-domain path.
-	Path = netsim.Path
-	// DomainSpec describes one domain on a path.
+	// DomainSpec describes one domain of a topology.
 	DomainSpec = netsim.DomainSpec
 	// LinkSpec describes one inter-domain link.
 	LinkSpec = netsim.LinkSpec
@@ -346,8 +348,6 @@ type (
 	BatchObserver = netsim.BatchObserver
 	// Observation is one packet observation at a HOP.
 	Observation = netsim.Observation
-	// SimResult is a simulation run's ground truth.
-	SimResult = netsim.Result
 	// DomainTruth is one domain's ground truth.
 	DomainTruth = netsim.DomainTruth
 	// CongestionConfig describes a bottleneck congestion scenario.
@@ -359,8 +359,8 @@ type (
 )
 
 // Fig1Path builds the paper's five-domain example topology
-// (S -> L -> X -> N -> D, HOPs 1..8).
-func Fig1Path(seed uint64) *Path { return netsim.Fig1Path(seed) }
+// (S -> L -> X -> N -> D, HOPs 1..8): a chain with one default route.
+func Fig1Path(seed uint64) *Topology { return netsim.Fig1Path(seed) }
 
 // Mesh & multipath topologies.
 type (
@@ -370,23 +370,15 @@ type (
 	TopoLink = netsim.TopoLink
 	// Route is one traffic key's HOP sequence through a topology.
 	Route = netsim.Route
-	// TopoRunner drives traffic across a topology in segments.
-	TopoRunner = netsim.TopoRunner
-	// TopoResult is a topology simulation's ground truth.
-	TopoResult = netsim.TopoResult
 	// SharedBlame is one blame finding merged across traffic keys.
 	SharedBlame = core.SharedBlame
 )
 
-// NewTopoRunner prepares persistent mesh simulation state.
-func NewTopoRunner(t *Topology, table *PrefixTable) (*TopoRunner, error) {
+// NewTopoRunner prepares persistent simulation state for a topology.
+// table classifies packets into traffic keys; it may be nil when every
+// route is a default route (Fig1Path).
+func NewTopoRunner(t *Topology, table *PrefixTable) (*SimRunner, error) {
 	return netsim.NewTopoRunner(t, table)
-}
-
-// NewTopoDeployment places collectors on every routed HOP of a
-// topology; verify per (key, route) via Deployment.KeyLayouts.
-func NewTopoDeployment(t *Topology, table *PrefixTable, cfg DeployConfig) (*Deployment, error) {
-	return core.NewTopoDeployment(t, table, cfg)
 }
 
 // MergeBlames condenses per-key blame findings into shared findings
@@ -515,8 +507,8 @@ type (
 	RollingVerifier = core.RollingVerifier
 	// ReceiptBus is the in-memory dissemination transport.
 	ReceiptBus = dissem.Bus
-	// SimRunner drives a path in consecutive segments with persistent
-	// network state.
+	// SimRunner drives a topology in consecutive segments with
+	// persistent network state.
 	SimRunner = netsim.Runner
 	// TraceGenerator is the pull-based synthetic packet source;
 	// NextChunk slices its stream at epoch boundaries.
@@ -545,9 +537,6 @@ func NewWindowedStore(hops []HOPID, retention int) (*WindowedStore, error) {
 func NewRollingVerifier(layout Layout, cfg VerifierConfig, win *WindowedStore, quantiles []float64, confidence float64) *RollingVerifier {
 	return core.NewRollingVerifier(layout, cfg, win, quantiles, confidence)
 }
-
-// NewSimRunner prepares a path for segmented continuous simulation.
-func NewSimRunner(p *Path) (*SimRunner, error) { return netsim.NewRunner(p) }
 
 // NewTraceGenerator builds a pull-based trace generator.
 func NewTraceGenerator(cfg TraceConfig) (*TraceGenerator, error) { return trace.NewGenerator(cfg) }

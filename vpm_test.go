@@ -43,7 +43,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth, err := path.Run(pkts, dep.Observers())
+	runner, err := vpm.NewTopoRunner(path, traceCfg.Table())
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth, err := runner.Run(pkts, dep.Observers())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +97,11 @@ func TestPublicAPIAdversary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := path.Run(pkts, dep.Observers()); err != nil {
+	runner, err := vpm.NewTopoRunner(path, traceCfg.Table())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runner.Run(pkts, dep.Observers()); err != nil {
 		t.Fatal(err)
 	}
 	dep.Finalize()
@@ -125,7 +133,7 @@ func TestPublicAPIAdversary(t *testing.T) {
 			xInA = aggs
 		}
 	}
-	egressPath := path.PathIDFor(vpm.PathID{Key: key}, path.DomainIndex("X"), false)
+	egressPath := path.PathIDFor(key, 5) // X egress
 	fs, fa := vpm.FabricateDelivery(xInS, xInA, egressPath, 500_000)
 	v.AddSampleReceipt(5, fs)
 	v.AddAggReceipts(5, fa)
@@ -154,7 +162,11 @@ func TestPublicAPIStoreAndStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := path.Run(pkts, dep.Observers()); err != nil {
+	runner, err := vpm.NewTopoRunner(path, traceCfg.Table())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runner.Run(pkts, dep.Observers()); err != nil {
 		t.Fatal(err)
 	}
 	dep.Finalize()
