@@ -314,9 +314,6 @@ func BenchmarkVerifyRebuildSerial(b *testing.B) {
 		var matched int
 		for _, key := range keys {
 			v := dep.NewVerifier(key)
-			vc := dep.VerifierConfig()
-			vc.Workers = 1
-			v.SetConfig(vc)
 			for _, lv := range v.VerifyAllLinks() {
 				matched += lv.MatchedSamples
 			}
@@ -328,8 +325,9 @@ func BenchmarkVerifyRebuildSerial(b *testing.B) {
 	reportVerifyThroughput(b, len(keys)*len(dep.Layout().Links()))
 }
 
-// BenchmarkVerifyIndexed measures VerifyAllLinks over the shared
-// indexed store at 1/2/4/8 workers on the same scenario. The
+// BenchmarkVerifyIndexed measures the verification sweep
+// (Deployment.Sweep: link checks and domain reports for every key) over
+// the shared indexed store at 1/2/4/8 workers on the same scenario. The
 // acceptance bar is ≥ 2× the serial link-check rate at 4 workers on
 // multi-core hardware; on a single-core host the pool must be
 // throughput-neutral.
@@ -338,20 +336,16 @@ func BenchmarkVerifyIndexed(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			dep, keys := verifyWorld(b)
 			store := dep.NewStore()
+			vc := dep.VerifierConfig()
+			vc.Workers = workers
 			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				var matched int
-				for _, key := range keys {
-					v := dep.NewVerifierOn(store, key)
-					vc := dep.VerifierConfig()
-					vc.Workers = workers
-					v.SetConfig(vc)
-					for _, lv := range v.VerifyAllLinks() {
-						matched += lv.MatchedSamples
-					}
+				rep, err := dep.Sweep(store, keys, vc, quantile.DefaultQuantiles, 0.95)
+				if err != nil {
+					b.Fatal(err)
 				}
-				if matched == 0 {
+				if rep.MatchedSamples() == 0 {
 					b.Fatal("no matched samples")
 				}
 			}

@@ -109,7 +109,7 @@ func buildVerifier(dep *core.Deployment, path *netsim.Topology, key packet.PathK
 	if lie == "none" {
 		return dep.NewVerifier(key)
 	}
-	v := core.NewVerifier(dep.Layout())
+	v := core.NewVerifierFor(dep.Layout(), key)
 	v.SetConfig(dep.VerifierConfig())
 	var xInS, xEgS receipt.SampleReceipt
 	var xInA []receipt.AggReceipt

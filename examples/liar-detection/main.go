@@ -85,7 +85,7 @@ func honest(dep *vpm.Deployment, key vpm.PathKey) {
 // by fabrications, and (optionally) N's ingress receipts replaced by
 // cover-ups.
 func liarVerifier(dep *vpm.Deployment, path *vpm.Topology, key vpm.PathKey, cover bool) *vpm.Verifier {
-	v := vpm.NewVerifier(dep.Layout())
+	v := vpm.NewVerifierFor(dep.Layout(), key)
 	v.SetConfig(dep.VerifierConfig())
 	var xInSamples vpm.SampleReceipt
 	var xInAggs []vpm.AggReceipt

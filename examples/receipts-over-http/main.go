@@ -85,7 +85,7 @@ func main() {
 	// 3. The verifier streams and authenticates everything: FetchEach
 	// hands over one verified bundle at a time, and Ingest files its
 	// receipts into the verifier's indexed store on the spot. The
-	// verifier is restricted to the foreground path key, so any other
+	// verifier reads only the foreground path key, so any other
 	// traffic in the bundles would be ingested but never read.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -117,7 +117,8 @@ func main() {
 	hs := &http.Server{Handler: evil, ReadHeaderTimeout: 10 * time.Second}
 	servers = append(servers, hs)
 	go func() { _ = hs.Serve(ln) }()
-	if _, err := client.Fetch(ctx, "http://"+ln.Addr().String(), 4, 0); err != nil {
+	accept := func(*vpm.ReceiptBundle) error { return nil }
+	if err := client.FetchEach(ctx, "http://"+ln.Addr().String(), 4, 0, accept); err != nil {
 		fmt.Printf("forged HOP4 server rejected as expected: %v\n", err)
 	} else {
 		log.Fatal("forged server was accepted — signature verification broken")

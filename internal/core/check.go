@@ -19,8 +19,9 @@ import (
 //   - evidence (the view) — the receipts the claims are matched
 //     against.
 //
-// A batch check (Verifier.CheckLink, Verifier.DomainReport) judges the
-// whole stream: its claims are its view, and no edge is left to trim.
+// A batch check (Verifier.CheckLink, Verifier.DomainReport, and the
+// whole-stream sweep Deployment.Sweep) judges the whole stream: its
+// claims are its view, and no edge is left to trim.
 //
 // Per-epoch verification cannot simply run the batch check over one
 // epoch's receipts: receipts for the same packet legitimately seal in
@@ -46,8 +47,8 @@ import (
 type checkScope struct {
 	view *Verifier // evidence, configured
 	// claims resolves the records the check judges. A whole-stream
-	// scope's claims are a copy of the view; a per-epoch scope's read
-	// the target epoch's receipts for the view's traffic key.
+	// scope's claims read the view's own store; a per-epoch scope's
+	// read the target epoch's receipts for the view's traffic key.
 	claims Verifier
 	// headComplete reports that the view's lower edge is the true
 	// stream start (epoch 0 is inside the view): nothing precedes the
@@ -60,8 +61,8 @@ type checkScope struct {
 	tailComplete bool
 	// seq, when non-nil, captures per-packet evidence for the
 	// sequential arm (see seqarm.go). The checks only append to it;
-	// the rolling verifier feeds it to the engine after the parallel
-	// sweep, in deterministic work order.
+	// the sweep feeds it to the engine after its worker pool drains,
+	// in deterministic work order.
 	seq *seqCollector
 }
 

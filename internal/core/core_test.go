@@ -236,7 +236,7 @@ func TestDomainReport(t *testing.T) {
 func TestBlameShiftExposedAtDownstreamLink(t *testing.T) {
 	// X drops 20% and fabricates egress receipts claiming delivery.
 	sc := buildScenario(t, scenarioOpt{lossX: 0.20, durNS: int64(400e6)})
-	v := NewVerifier(sc.dep.Layout())
+	v := NewVerifierFor(sc.dep.Layout(), sc.key)
 	v.SetConfig(VerifierConfig{
 		MarkerThreshold:  sc.dep.markerThreshold,
 		SampleThresholds: sc.dep.sampleThresholds,
@@ -319,7 +319,7 @@ func TestCoverUpShiftsBlameToColluder(t *testing.T) {
 	// X caused now appears INSIDE N (between HOPs 6 and 7): the
 	// colluder takes the blame (§3.1).
 	sc := buildScenario(t, scenarioOpt{lossX: 0.20, durNS: int64(400e6)})
-	v := NewVerifier(sc.dep.Layout())
+	v := NewVerifierFor(sc.dep.Layout(), sc.key)
 	v.SetConfig(VerifierConfig{
 		MarkerThreshold:  sc.dep.markerThreshold,
 		SampleThresholds: sc.dep.sampleThresholds,
@@ -389,7 +389,7 @@ func TestShavedDelaysBreakMaxDiff(t *testing.T) {
 		}
 	}
 	shaved := ShaveDelays(in5, eg5, 0.05)
-	v2 := NewVerifier(sc.dep.Layout())
+	v2 := NewVerifierFor(sc.dep.Layout(), sc.key)
 	v2.SetConfig(VerifierConfig{MarkerThreshold: sc.dep.markerThreshold, SampleThresholds: sc.dep.sampleThresholds})
 	for hop, proc := range sc.dep.Processors {
 		if hop == 5 {
@@ -421,7 +421,7 @@ func TestShavedDelaysBreakMaxDiff(t *testing.T) {
 
 func TestDropSamplesExposedByEvidence(t *testing.T) {
 	sc := buildScenario(t, scenarioOpt{durNS: int64(300e6)})
-	v := NewVerifier(sc.dep.Layout())
+	v := NewVerifierFor(sc.dep.Layout(), sc.key)
 	v.SetConfig(VerifierConfig{MarkerThreshold: sc.dep.markerThreshold, SampleThresholds: sc.dep.sampleThresholds})
 	for hop, proc := range sc.dep.Processors {
 		for _, s := range proc.CombinedSamples() {
@@ -490,7 +490,7 @@ func TestMarkerBiasDetection(t *testing.T) {
 }
 
 func TestMarkerBiasRequiresConfig(t *testing.T) {
-	v := NewVerifier(Layout{})
+	v := NewVerifierFor(Layout{}, packet.PathKey{})
 	if _, err := v.CheckMarkerBias(4, 5); err == nil {
 		t.Fatal("unconfigured verifier should refuse the check")
 	}

@@ -42,8 +42,8 @@ type EpochConfig struct {
 	// receipt store keeps before eviction (the GC N−k knob). Unverified
 	// epochs are never evicted regardless of age.
 	Retention int
-	// Workers sizes the verifier worker pools (VerifierConfig.Workers):
-	// 0 = GOMAXPROCS, 1 = serial.
+	// Workers sizes the verification sweep's worker pool
+	// (VerifierConfig.Workers): 0 = GOMAXPROCS, 1 = serial.
 	Workers int
 	// Shards sets each HOP collector's shard count
 	// (DeployConfig.Shards): 0 = GOMAXPROCS, N = N shards; one shard

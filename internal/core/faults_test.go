@@ -131,7 +131,7 @@ func TestMaxDiffMismatchDetected(t *testing.T) {
 	// Two neighbors advertising different MaxDiff values for their
 	// shared link violate rule (1) of §4.
 	sc := buildScenario(t, scenarioOpt{durNS: int64(200e6)})
-	v := NewVerifier(sc.dep.Layout())
+	v := NewVerifierFor(sc.dep.Layout(), sc.key)
 	v.SetConfig(sc.dep.VerifierConfig())
 	for hop, proc := range sc.dep.Processors {
 		for _, s := range proc.CombinedSamples() {

@@ -12,7 +12,7 @@ import (
 // The fleet's verifier tier splits the key space across processes, so
 // each shard's EpochReport covers a disjoint subset of the epoch's
 // traffic keys. Per-key verification reads only that key's receipts
-// (restricted verifiers never touch foreign indexes), so a shard's
+// (a verifier never touches another key's indexes), so a shard's
 // per-key reports are bit-for-bit the ones the whole-store verifier
 // computes — recovering the union is purely an ordering problem. A
 // single-process report lists keys in claims.Keys() order (PathKey

@@ -67,23 +67,20 @@ func seqMarkerKind(pid, mu uint64) seqdetect.Kind {
 	return seqdetect.KindOtherDelta
 }
 
-// feedSequential drains the work items' collectors into the engine in
-// work order, then closes the epoch and returns the epoch's new
-// sequential verdicts. Must be called from the single verification
-// goroutine only.
-func (rv *RollingVerifier) feedSequential(epoch EpochID, cols []*seqCollector) []seqdetect.SeqVerdict {
-	if rv.seq == nil {
+// feedSequential drains the work items' collectors into seq in work
+// order, then closes the epoch and returns the epoch's new sequential
+// verdicts; nil when the arm is off. Must be called from the single
+// verification goroutine only.
+func feedSequential(seq *seqdetect.Engine, epoch EpochID, cols []*seqCollector) []seqdetect.SeqVerdict {
+	if seq == nil {
 		return nil
 	}
 	for _, col := range cols {
-		if col == nil {
-			continue
-		}
 		for _, b := range col.batches {
-			rv.seq.Observe(b.scope, b.class, b.items)
+			seq.Observe(b.scope, b.class, b.items)
 		}
 	}
-	return rv.seq.EndEpoch(uint64(epoch))
+	return seq.EndEpoch(uint64(epoch))
 }
 
 // SeqVerdicts returns every sequential verdict the arm has emitted so

@@ -65,7 +65,7 @@ func (l Layout) DomainSegmentByName(name string) (Segment, bool) {
 
 // Links returns the layout's inter-domain link segments in path
 // order. The slice index is the link's LinkID — the ordinal
-// VerifyAllLinks stamps on verdicts and sorts them by.
+// VerifyAllLinks and the verification sweep stamp on verdicts.
 func (l Layout) Links() []Segment {
 	var out []Segment
 	for _, s := range l.Segments {
@@ -77,7 +77,7 @@ func (l Layout) Links() []Segment {
 }
 
 // DomainSegments returns the layout's intra-domain segments in path
-// order — the units DomainReports estimates in parallel.
+// order — the units DomainReports estimates.
 func (l Layout) DomainSegments() []Segment {
 	var out []Segment
 	for _, s := range l.Segments {
@@ -117,10 +117,11 @@ type VerifierConfig struct {
 	// retains exactly (oracle deployments mixing the two backends).
 	// Markers are never thinned, so marker timelines are unaffected.
 	SampleKeep func(pktID uint64) bool
-	// Workers sizes the worker pool VerifyAllLinks and DomainReports
-	// spread independent link and domain checks over: 0 uses
-	// GOMAXPROCS, 1 runs serially. Verdicts are byte-identical at any
-	// pool size; only wall-clock time changes.
+	// Workers sizes the verification sweep's worker pool over (traffic
+	// key, route) work items — RollingVerifier.VerifyEpoch and
+	// Deployment.Sweep: 0 uses GOMAXPROCS, 1 runs serially. Reports
+	// are byte-identical at any pool size; only wall-clock time
+	// changes.
 	Workers int
 	// BiasChecks makes rolling verification run the marker-bias check
 	// (CheckMarkerBias) per domain per epoch, attaching the verdicts —
@@ -154,42 +155,31 @@ type VerifierConfig struct {
 // IngestBundles) — no need to hold a path's worth of receipts in
 // memory before verification starts.
 //
-// A verifier built by NewVerifierFor (or Deployment.NewVerifier) is
-// restricted to one traffic key: queries resolve (HOP, key) indexes
-// directly, so receipts for other paths in the same store or bundle
-// stream are invisible to it. An unrestricted verifier (NewVerifier)
-// answers queries from everything its HOPs reported, merging traffic
-// keys if several were ingested.
+// Every verifier reads exactly one traffic key: queries resolve
+// (HOP, key) indexes directly, so receipts for other paths in the same
+// store or bundle stream are invisible to it. To verify many keys at
+// once, use the verification sweep (Deployment.Sweep).
 type Verifier struct {
 	layout Layout
 	cfg    VerifierConfig
 
-	store      *ReceiptStore
-	key        packet.PathKey
-	restricted bool
+	store *ReceiptStore
+	key   packet.PathKey
 }
 
-// NewVerifier builds an unrestricted verifier for the given path
-// layout over a fresh private store.
-func NewVerifier(layout Layout) *Verifier {
-	return &Verifier{layout: layout, store: NewReceiptStore()}
-}
-
-// NewVerifierFor builds a verifier restricted to one traffic key over
-// a fresh private store: receipts for other origin-prefix pairs may be
+// NewVerifierFor builds a verifier for one traffic key over a fresh
+// private store: receipts for other origin-prefix pairs may be
 // ingested (e.g. from multi-path dissemination bundles) but never leak
 // into this verifier's answers.
 func NewVerifierFor(layout Layout, key packet.PathKey) *Verifier {
-	v := NewVerifier(layout)
-	v.key, v.restricted = key, true
-	return v
+	return NewVerifierOn(layout, NewReceiptStore(), key)
 }
 
-// NewVerifierOn builds a key-restricted verifier over a shared
+// NewVerifierOn builds a verifier for one traffic key over a shared
 // ReceiptStore. Ingest the store once, then verify every path key it
 // holds without re-scanning receipts per key.
 func NewVerifierOn(layout Layout, store *ReceiptStore, key packet.PathKey) *Verifier {
-	return &Verifier{layout: layout, store: store, key: key, restricted: true}
+	return &Verifier{layout: layout, store: store, key: key}
 }
 
 // SetConfig installs the deployment constants (see VerifierConfig).
@@ -201,10 +191,7 @@ func (v *Verifier) Store() *ReceiptStore { return v.store }
 
 // indexFor resolves the index answering queries about hop.
 func (v *Verifier) indexFor(hop receipt.HOPID) *pathIndex {
-	if v.restricted {
-		return v.store.lookup(hop, v.key)
-	}
-	return v.store.hopView(hop)
+	return v.store.lookup(hop, v.key)
 }
 
 // AddSampleReceipt ingests one HOP's sample receipt.
@@ -220,8 +207,8 @@ func (v *Verifier) AddAggReceipts(hop receipt.HOPID, rs []receipt.AggReceipt) {
 
 // Ingest consumes one decoded dissemination bundle: every sample and
 // aggregate receipt in it is filed under the bundle's origin HOP.
-// Bundles may arrive in any order and may interleave traffic keys; a
-// restricted verifier simply never reads the foreign indexes. Safe to
+// Bundles may arrive in any order and may interleave traffic keys; the
+// verifier simply never reads the foreign indexes. Safe to
 // call concurrently (one goroutine per dissemination fetch).
 func (v *Verifier) Ingest(b *dissem.Bundle) {
 	for _, s := range b.Samples {
@@ -565,22 +552,18 @@ func (v *Verifier) expectedSampled(ri *pathIndex, other receipt.HOPID, id uint64
 	return hashing.Exceeds(hashing.SampleFcn(id, marker), sigma)
 }
 
-// VerifyAllLinks checks every inter-domain link on the path, spreading
-// the independent link checks over VerifierConfig.Workers goroutines
-// (0 = GOMAXPROCS). Link pairs share no mutable state, so the verdicts
-// are byte-identical at any pool size; they return LinkID-sorted (path
-// order) regardless of which worker finished first.
+// VerifyAllLinks checks every inter-domain link on the path, in path
+// order; each verdict carries its LinkID.
 func (v *Verifier) VerifyAllLinks() []LinkVerdict {
 	links := v.layout.Links()
 	if len(links) == 0 {
 		return nil
 	}
 	out := make([]LinkVerdict, len(links))
-	runParallel(resolveWorkers(v.cfg.Workers), len(links), func(i int) {
-		lv := v.CheckLink(links[i].Up, links[i].Down)
-		lv.LinkID = i
-		out[i] = lv
-	})
+	for i, l := range links {
+		out[i] = v.CheckLink(l.Up, l.Down)
+		out[i].LinkID = i
+	}
 	return out
 }
 
@@ -611,25 +594,21 @@ func (v *Verifier) DomainReport(name string, qs []float64, confidence float64) (
 }
 
 // DomainReports estimates every transit domain on the path, in path
-// order, spreading the independent per-domain estimates over
-// VerifierConfig.Workers goroutines (0 = GOMAXPROCS). Like
-// VerifyAllLinks, the reports are byte-identical at any pool size.
-// The first per-domain error (by path order) is returned alongside
-// the reports that succeeded.
+// order. The first per-domain error (by path order) is returned
+// alongside every domain's report.
 func (v *Verifier) DomainReports(qs []float64, confidence float64) ([]DomainReport, error) {
 	segs := v.layout.DomainSegments()
 	if len(segs) == 0 {
 		return nil, nil
 	}
 	out := make([]DomainReport, len(segs))
-	errs := make([]error, len(segs))
-	runParallel(resolveWorkers(v.cfg.Workers), len(segs), func(i int) {
-		out[i], errs[i] = v.wholeStream().domainReport(segs[i], qs, confidence)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return out, err
+	var first error
+	for i, seg := range segs {
+		var err error
+		out[i], err = v.wholeStream().domainReport(seg, qs, confidence)
+		if err != nil && first == nil {
+			first = err
 		}
 	}
-	return out, nil
+	return out, first
 }

@@ -11,6 +11,7 @@ import (
 	"vpm/internal/lossmodel"
 	"vpm/internal/netsim"
 	"vpm/internal/packet"
+	"vpm/internal/quantile"
 	"vpm/internal/receipt"
 	"vpm/internal/stats"
 	"vpm/internal/trace"
@@ -62,58 +63,60 @@ func buildMultiPathScenario(t testing.TB, lossyLink bool) (*Deployment, []packet
 	return dep, keys
 }
 
-// configured returns a verifier over the shared store with the given
-// worker-pool size.
-func configured(dep *Deployment, store *ReceiptStore, key packet.PathKey, workers int) *Verifier {
-	v := dep.NewVerifierOn(store, key)
-	cfg := dep.VerifierConfig()
-	cfg.Workers = workers
-	v.SetConfig(cfg)
-	return v
+// perKeyReference is the serial reference the sweep must reproduce:
+// one verifier per key, VerifyAllLinks + DomainReports + blame, in key
+// order.
+func perKeyReference(t *testing.T, dep *Deployment, keys []packet.PathKey, verifierFor func(packet.PathKey) *Verifier) []EpochKeyReport {
+	t.Helper()
+	var out []EpochKeyReport
+	for _, key := range keys {
+		v := verifierFor(key)
+		links := v.VerifyAllLinks()
+		doms, err := v.DomainReports(quantile.DefaultQuantiles, 0.95)
+		if err != nil {
+			t.Fatalf("key %v: %v", key, err)
+		}
+		out = append(out, EpochKeyReport{Key: key, Links: links, Domains: doms, Blames: AttributeBlame(dep.Layout(), 0, links)})
+	}
+	return out
 }
 
-// TestParallelVerifyEquivalence is the tentpole acceptance test:
-// VerifyAllLinks and DomainReports on the 16-HOP, 64-path scenario
-// must produce verdicts byte-identical to the serial verifier — for
-// the shared indexed store at any pool size, and for the legacy
-// per-key rebuilt store.
+// TestParallelVerifyEquivalence is the sweep's acceptance test:
+// Deployment.Sweep over the 16-HOP, 64-path scenario must reproduce,
+// byte for byte and at any pool size, the per-key serial verification
+// (VerifyAllLinks + DomainReports) — both over the shared indexed
+// store and over per-key rebuilt stores.
 func TestParallelVerifyEquivalence(t *testing.T) {
 	dep, keys := buildMultiPathScenario(t, true)
 	store := dep.NewStore()
+	shared := perKeyReference(t, dep, keys, func(key packet.PathKey) *Verifier { return dep.NewVerifierOn(store, key) })
+	rebuilt := perKeyReference(t, dep, keys, dep.NewVerifier)
+	want := fmt.Sprintf("%+v", shared)
+	if got := fmt.Sprintf("%+v", rebuilt); got != want {
+		t.Fatalf("rebuilt-store verdicts differ from shared-store:\nshared:  %s\nrebuilt: %s", want, got)
+	}
+	for _, workers := range []int{1, 4} {
+		cfg := dep.VerifierConfig()
+		cfg.Workers = workers
+		rep, err := dep.Sweep(store, keys, cfg, quantile.DefaultQuantiles, 0.95)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%+v", rep.Keys); got != want {
+			t.Fatalf("workers=%d: sweep differs from per-key serial verification:\nserial: %s\nsweep:  %s", workers, want, got)
+		}
+		if !reflect.DeepEqual(rep.Keys, shared) {
+			t.Fatalf("workers=%d: DeepEqual mismatch between sweep and serial reports", workers)
+		}
+	}
 	var totalViolations, totalMatched int
-	for _, key := range keys {
-		serial := configured(dep, store, key, 1)
-		parallel := configured(dep, store, key, 4)
-		rebuilt := dep.NewVerifier(key) // private store, default pool
-
-		sv := serial.VerifyAllLinks()
-		pv := parallel.VerifyAllLinks()
-		rv := rebuilt.VerifyAllLinks()
-		sr, pr := fmt.Sprintf("%+v", sv), fmt.Sprintf("%+v", pv)
-		if sr != pr {
-			t.Fatalf("key %v: parallel verdicts differ from serial:\nserial:   %s\nparallel: %s", key, sr, pr)
-		}
-		if rr := fmt.Sprintf("%+v", rv); rr != sr {
-			t.Fatalf("key %v: rebuilt-store verdicts differ from shared-store:\nshared:  %s\nrebuilt: %s", key, sr, rr)
-		}
-		if !reflect.DeepEqual(sv, pv) {
-			t.Fatalf("key %v: DeepEqual mismatch between serial and parallel verdicts", key)
-		}
-		for i, lv := range sv {
+	for _, kr := range shared {
+		for i, lv := range kr.Links {
 			if lv.LinkID != i {
-				t.Fatalf("key %v: verdict %d has LinkID %d; want path order", key, i, lv.LinkID)
+				t.Fatalf("key %v: verdict %d has LinkID %d; want path order", kr.Key, i, lv.LinkID)
 			}
 			totalViolations += len(lv.Violations)
 			totalMatched += lv.MatchedSamples
-		}
-
-		sd, serr := serial.DomainReports(nil, 0.95)
-		pd, perr := parallel.DomainReports(nil, 0.95)
-		if (serr == nil) != (perr == nil) {
-			t.Fatalf("key %v: error mismatch: %v vs %v", key, serr, perr)
-		}
-		if ds, dp := fmt.Sprintf("%+v", sd), fmt.Sprintf("%+v", pd); ds != dp {
-			t.Fatalf("key %v: parallel domain reports differ from serial", key)
 		}
 	}
 	// The scenario must be non-trivial: dense matching everywhere and
@@ -136,7 +139,7 @@ func TestVerifyAllLinksDetectsFaultyLink(t *testing.T) {
 	badUp, badDown := receipt.HOPID(7), receipt.HOPID(8)
 	flagged := 0
 	for _, key := range keys {
-		for _, lv := range configured(dep, store, key, 0).VerifyAllLinks() {
+		for _, lv := range dep.NewVerifierOn(store, key).VerifyAllLinks() {
 			if lv.Consistent() {
 				continue
 			}
@@ -159,7 +162,7 @@ func TestStoreKeyedIsolation(t *testing.T) {
 	if got := len(store.Keys()); got != len(keys) {
 		t.Fatalf("store holds %d traffic keys, want %d", got, len(keys))
 	}
-	shared := configured(dep, store, keys[0], 1)
+	shared := dep.NewVerifierOn(store, keys[0])
 	private := dep.NewVerifier(keys[0])
 	for _, hop := range dep.Layout().HOPs {
 		if s, p := shared.SampleCount(hop), private.SampleCount(hop); s != p {
@@ -244,7 +247,7 @@ func TestIngestRejectsBadBundles(t *testing.T) {
 		Samples: []receipt.SampleRecord{{PktID: 1, TimeNS: 2}},
 	}}}
 
-	v := NewVerifier(Layout{})
+	v := NewVerifierFor(Layout{}, path.Key)
 	if err := v.IngestSigned(reg, evil.Sign(bundle)); err == nil {
 		t.Error("forged bundle accepted")
 	}
@@ -271,43 +274,10 @@ func TestIngestRejectsBadBundles(t *testing.T) {
 	}
 }
 
-// TestMergedViewTracksLaterIngest guards the unrestricted multi-key
-// path: once a HOP has receipts for several traffic keys, further
-// ingest into an existing key must invalidate the cached merged view,
-// not leave queries answering from a stale snapshot.
-func TestMergedViewTracksLaterIngest(t *testing.T) {
-	keyA := receipt.PathKeyOf(
-		packet.MakePrefix(10, 1, 0, 0, 16),
-		packet.MakePrefix(172, 16, 0, 0, 16), 3, 5, 2_000_000)
-	keyB := receipt.PathKeyOf(
-		packet.MakePrefix(10, 2, 0, 0, 16),
-		packet.MakePrefix(172, 16, 0, 0, 16), 3, 5, 2_000_000)
-	v := NewVerifier(Layout{})
-	v.AddSampleReceipt(4, receipt.SampleReceipt{Path: keyA,
-		Samples: []receipt.SampleRecord{{PktID: 1, TimeNS: 10}}})
-	v.AddSampleReceipt(4, receipt.SampleReceipt{Path: keyB,
-		Samples: []receipt.SampleRecord{{PktID: 2, TimeNS: 20}}})
-	if got := v.SampleCount(4); got != 2 {
-		t.Fatalf("after two keys: %d samples, want 2", got)
-	}
-	// Ingest into an already-existing index after the merge was built.
-	v.AddSampleReceipt(4, receipt.SampleReceipt{Path: keyA,
-		Samples: []receipt.SampleRecord{{PktID: 3, TimeNS: 30}}})
-	if got := v.SampleCount(4); got != 3 {
-		t.Fatalf("after late ingest: %d samples, want 3 (stale merged view?)", got)
-	}
-	v.AddAggReceipts(4, []receipt.AggReceipt{{Path: keyA, PktCnt: 7}})
-	v.AddSampleReceipt(5, receipt.SampleReceipt{Path: keyA,
-		Samples: []receipt.SampleRecord{{PktID: 1, TimeNS: 15}, {PktID: 3, TimeNS: 35}}})
-	if got := len(v.DelaysBetween(4, 5)); got != 2 {
-		t.Fatalf("%d matched delays across late-ingested samples, want 2", got)
-	}
-}
-
 // TestMissingToleranceDefaultsAndOverrides covers the §5.3 noise
 // tolerance arithmetic directly.
 func TestMissingToleranceDefaultsAndOverrides(t *testing.T) {
-	v := NewVerifier(Layout{})
+	v := NewVerifierFor(Layout{}, packet.PathKey{})
 	// Zero config: floor 10, 5% fraction.
 	for _, tc := range []struct{ matched, want int }{
 		{0, 10}, {1, 10}, {199, 10}, {200, 10}, {201, 10}, {400, 20}, {10000, 500},
@@ -368,7 +338,7 @@ func biasWorld(t *testing.T, mu uint64, markerDelay, otherDelay int64) *Verifier
 	for _, id := range others {
 		add(id, otherDelay)
 	}
-	v := NewVerifier(Layout{})
+	v := NewVerifierFor(Layout{}, packet.PathKey{})
 	v.SetConfig(VerifierConfig{MarkerThreshold: mu})
 	v.AddSampleReceipt(1, receipt.SampleReceipt{Samples: up})
 	v.AddSampleReceipt(2, receipt.SampleReceipt{Samples: down})
@@ -379,7 +349,7 @@ func biasWorld(t *testing.T, mu uint64, markerDelay, otherDelay int64) *Verifier
 // configuration, empty sample sets, and too-thin populations.
 func TestCheckMarkerBiasEdgeCases(t *testing.T) {
 	// Unconfigured µ.
-	v := NewVerifier(Layout{})
+	v := NewVerifierFor(Layout{}, packet.PathKey{})
 	if _, err := v.CheckMarkerBias(1, 2); err == nil {
 		t.Error("unconfigured marker threshold accepted")
 	}
@@ -410,7 +380,7 @@ func TestCheckMarkerBiasSingleHOP(t *testing.T) {
 	for i, id := range append(markers, others...) {
 		recs = append(recs, receipt.SampleRecord{PktID: id, TimeNS: int64(i) * 1000})
 	}
-	v := NewVerifier(Layout{})
+	v := NewVerifierFor(Layout{}, packet.PathKey{})
 	v.SetConfig(VerifierConfig{MarkerThreshold: mu})
 	v.AddSampleReceipt(3, receipt.SampleReceipt{Samples: recs})
 	rep, err := v.CheckMarkerBias(3, 3)
@@ -452,7 +422,7 @@ func TestCheckMarkerBiasDetectsPreferentialMarkers(t *testing.T) {
 // confidence is rejected at the estimation layer rather than
 // producing degenerate bounds.
 func TestDelayQuantilesZeroConfidence(t *testing.T) {
-	v := NewVerifier(Layout{})
+	v := NewVerifierFor(Layout{}, packet.PathKey{})
 	recs := make([]receipt.SampleRecord, 50)
 	for i := range recs {
 		recs[i] = receipt.SampleRecord{PktID: uint64(i + 1), TimeNS: int64(i) * 1000}

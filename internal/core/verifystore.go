@@ -27,26 +27,20 @@ import (
 //     missing-record checks from a scan over all of a HOP's samples
 //     into a binary search.
 //
-// Concurrency: ingest calls (AddSamples, AddAggs, IngestBundle) may
-// run concurrently with each other — a store can drain several
+// Concurrency: ingest calls (AddSamples, AddAggs, Verifier.Ingest)
+// may run concurrently with each other — a store can drain several
 // dissemination fetches at once. Verification may run concurrently
-// with verification (the worker pools of VerifyAllLinks and
-// DomainReports read the same store from many goroutines), but not
-// with ingest: quiesce ingestion before verifying.
+// with verification (the sweep's worker pool reads the same store from
+// many goroutines, one (key, route) item each), but not with ingest:
+// quiesce ingestion before verifying.
 type ReceiptStore struct {
-	mu     sync.Mutex
-	idx    map[receipt.StoreKey]*pathIndex
-	byHOP  map[receipt.HOPID][]*pathIndex // creation order per HOP
-	merged map[receipt.HOPID]*pathIndex   // cached multi-key merges
+	mu  sync.Mutex
+	idx map[receipt.StoreKey]*pathIndex
 }
 
 // NewReceiptStore returns an empty indexed receipt store.
 func NewReceiptStore() *ReceiptStore {
-	return &ReceiptStore{
-		idx:    make(map[receipt.StoreKey]*pathIndex),
-		byHOP:  make(map[receipt.HOPID][]*pathIndex),
-		merged: make(map[receipt.HOPID]*pathIndex),
-	}
+	return &ReceiptStore{idx: make(map[receipt.StoreKey]*pathIndex)}
 }
 
 // pathIndex holds everything one HOP reported about one traffic key.
@@ -69,18 +63,14 @@ type pathIndex struct {
 	markerMu uint64
 }
 
-// index returns (creating if needed) the index for key. It is only
-// called on ingest, so the HOP's cached merged view — a snapshot of
-// all its indexes — is invalidated unconditionally.
+// index returns (creating if needed) the index for key.
 func (s *ReceiptStore) index(key receipt.StoreKey) *pathIndex {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.merged, key.HOP)
 	pi, ok := s.idx[key]
 	if !ok {
 		pi = &pathIndex{byID: make(map[uint64]int64)}
 		s.idx[key] = pi
-		s.byHOP[key.HOP] = append(s.byHOP[key.HOP], pi)
 	}
 	return pi
 }
@@ -140,42 +130,6 @@ func (s *ReceiptStore) lookup(hop receipt.HOPID, key packet.PathKey) *pathIndex 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.idx[receipt.StoreKey{HOP: hop, Key: key}]
-}
-
-// hopView returns the index serving unrestricted queries about hop:
-// the HOP's sole index when it reported one traffic key, or a cached
-// merge of all its indexes (in creation order) when it reported
-// several — the flat-pool semantics hand-built verifiers relied on
-// before the store existed.
-func (s *ReceiptStore) hopView(hop receipt.HOPID) *pathIndex {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	list := s.byHOP[hop]
-	switch len(list) {
-	case 0:
-		return nil
-	case 1:
-		return list[0]
-	}
-	if m, ok := s.merged[hop]; ok {
-		return m
-	}
-	m := &pathIndex{byID: make(map[uint64]int64)}
-	for _, pi := range list {
-		pi.mu.Lock()
-		for _, rec := range pi.ordered {
-			m.byID[rec.PktID] = rec.TimeNS
-		}
-		m.ordered = append(m.ordered, pi.ordered...)
-		m.aggs = append(m.aggs, pi.aggs...)
-		if pi.hasPath {
-			m.pathID, m.hasPath = pi.pathID, true
-		}
-		pi.mu.Unlock()
-	}
-	m.dirty = true
-	s.merged[hop] = m
-	return m
 }
 
 // path returns the index's PathID claim.
@@ -287,7 +241,8 @@ func markerAtOrAfter(timeline []receipt.SampleRecord, t int64) (uint64, bool) {
 	return timeline[i].PktID, true
 }
 
-// runParallel executes fn(0..n-1) on min(workers, n) goroutines.
+// runParallel executes fn(0..n-1) on min(workers, n) goroutines — the
+// verification sweep's worker pool.
 // workers <= 1 runs inline. Tasks are claimed from a shared counter,
 // so callers get determinism by writing results into index i — never
 // by relying on execution order.

@@ -510,13 +510,14 @@ type EpochKeyReport struct {
 	Bias []DomainBiasVerdict
 }
 
-// EpochReport is the rolling verifier's per-epoch delta: every traffic
-// key observed around the epoch, each with its link verdicts and
-// domain reports — the unit a continuous deployment publishes as each
-// interval closes. Reports are computed over the epoch's ±1-interval
-// evidence window, so consecutive reports overlap at the boundaries
-// (a sample in flight across an epoch edge is matched — and counted —
-// in both neighbors' reports).
+// EpochReport is the outcome of one verification sweep: every traffic
+// key in scope, each with its link verdicts and domain reports. The
+// rolling verifier's reports are per-epoch deltas — the unit a
+// continuous deployment publishes as each interval closes — computed
+// over the epoch's ±1-interval evidence window, so consecutive reports
+// overlap at the boundaries (a sample in flight across an epoch edge
+// is matched — and counted — in both neighbors' reports).
+// Deployment.Sweep reports the whole stream as epoch 0.
 type EpochReport struct {
 	Epoch EpochID
 	Keys  []EpochKeyReport
@@ -551,13 +552,12 @@ func (r EpochReport) MatchedSamples() int64 {
 }
 
 // RollingVerifier turns sealed epochs into per-epoch reports: for each
-// Ready epoch it runs the full §4 verification (VerifyAllLinks +
-// DomainReports) over every traffic key in the epoch's evidence
-// window, then marks the epoch verified so the window can evict it.
-// Rolling operation changes when verification runs, not what it
-// computes: ingesting every epoch's receipts into one store and
-// verifying once yields verdicts byte-identical to the one-shot batch
-// (TestBatchContinuousEquivalence).
+// Ready epoch it runs the verification sweep (sweep.go) over every
+// traffic key in the epoch's evidence window, then marks the epoch
+// verified so the window can evict it. Rolling operation changes when
+// verification runs, not what it computes: ingesting every epoch's
+// receipts into one store and verifying once yields verdicts
+// byte-identical to the one-shot batch (TestBatchContinuousEquivalence).
 type RollingVerifier struct {
 	layout     Layout
 	cfg        VerifierConfig
@@ -612,131 +612,35 @@ func NewRollingVerifier(layout Layout, cfg VerifierConfig, win *WindowedStore, q
 	return rv
 }
 
-// VerifyEpoch verifies one sealed epoch and marks it verified: every
-// traffic key with receipts sealed in the epoch gets the scoped §4
-// link checks and per-domain estimates (claims from the epoch,
-// evidence from the ±1 window — see check.go). An epoch with no
-// traffic yields an empty report. Keys within the report verify on a
-// VerifierConfig.Workers pool; reports are identical at any pool size.
+// VerifyEpoch verifies one sealed epoch and marks it verified: the
+// verification sweep (see sweep.go) runs over every traffic key with
+// receipts sealed in the epoch, with the epoch's receipts as claims and
+// the ±1 window as evidence (see check.go). An epoch with no traffic
+// yields an empty report. Work items verify on a VerifierConfig.Workers
+// pool; reports are identical at any pool size.
 func (rv *RollingVerifier) VerifyEpoch(epoch EpochID) (EpochReport, error) {
-	rep := EpochReport{Epoch: epoch}
 	view, err := rv.win.View(epoch)
 	if err != nil {
-		return rep, err
+		return EpochReport{Epoch: epoch}, err
 	}
 	claims, err := rv.win.claimsStore(epoch)
 	if err != nil {
+		return EpochReport{Epoch: epoch}, err
+	}
+	scope := sweepScope{
+		epoch:  epoch,
+		view:   view,
+		claims: claims,
+		// The view spans max(0, epoch−1)..epoch+1, so it reaches the
+		// stream start exactly when epoch ≤ 1.
+		headComplete: epoch <= 1,
+		tailComplete: rv.win.tailComplete(epoch),
+	}
+	// An empty epoch still closes the sequential engine's epoch, so
+	// detection latency counts calendar epochs, not traffic epochs.
+	rep, err := scope.sweep(claims.Keys(), rv.layoutsFor, rv.cfg, rv.quantiles, rv.confidence, rv.seq)
+	if err != nil {
 		return rep, err
-	}
-	keys := claims.Keys()
-	if len(keys) == 0 {
-		// An empty epoch still closes the sequential engine's epoch so
-		// detection latency counts calendar epochs, not traffic epochs.
-		rep.Seq = rv.feedSequential(epoch, nil)
-		if err := rv.win.persistReport(rep); err != nil {
-			return rep, err
-		}
-		return rep, rv.win.MarkVerified(epoch)
-	}
-	// One work item per (key, route layout): a linear path has exactly
-	// one layout per key; a mesh key verifies once per ECMP route.
-	// Links shared by a key's routes (the ECMP access legs) carry one
-	// verdict — on the first route that reaches them — so per-epoch
-	// violation and blame counts tally distinct link verifications,
-	// exactly like the batch sweep.
-	type keyWork struct {
-		key    packet.PathKey
-		layout Layout
-		route  int
-		// skip holds the layout's link ordinals already verified on an
-		// earlier route of the same key.
-		skip map[int]bool
-	}
-	var work []keyWork
-	for _, key := range keys {
-		seen := make(map[[2]receipt.HOPID]bool)
-		for ri, lay := range rv.layoutsFor(key) {
-			var skip map[int]bool
-			for li, l := range lay.Links() {
-				pair := [2]receipt.HOPID{l.Up, l.Down}
-				if seen[pair] {
-					if skip == nil {
-						skip = make(map[int]bool)
-					}
-					skip[li] = true
-					continue
-				}
-				seen[pair] = true
-			}
-			work = append(work, keyWork{key: key, layout: lay, route: ri, skip: skip})
-		}
-	}
-	rep.Keys = make([]EpochKeyReport, len(work))
-	errs := make([]error, len(work))
-	var seqCols []*seqCollector
-	if rv.seq != nil {
-		// One private collector per work item: the parallel sweep
-		// captures evidence lock-free, the serial feed below replays it
-		// in work order so the engine sees one deterministic stream.
-		seqCols = make([]*seqCollector, len(work))
-		for i := range seqCols {
-			seqCols[i] = &seqCollector{}
-		}
-	}
-	runParallel(resolveWorkers(rv.cfg.Workers), len(work), func(i int) {
-		key, layout := work[i].key, work[i].layout
-		v := NewVerifierOn(layout, view, key)
-		v.SetConfig(rv.cfg)
-		scope := &checkScope{
-			view:   v,
-			claims: Verifier{store: claims, key: key, restricted: true},
-			// The view spans max(0, epoch−1)..epoch+1, so it reaches
-			// the stream start exactly when epoch ≤ 1.
-			headComplete: epoch <= 1,
-			tailComplete: rv.win.tailComplete(epoch),
-		}
-		if seqCols != nil {
-			scope.seq = seqCols[i]
-		}
-		kr := EpochKeyReport{Key: key, Route: work[i].route}
-		for li, l := range layout.Links() {
-			if work[i].skip[li] {
-				continue
-			}
-			lv := scope.linkCheck(l.Up, l.Down)
-			lv.LinkID = li
-			kr.Links = append(kr.Links, lv)
-		}
-		for _, seg := range layout.DomainSegments() {
-			dr, err := scope.domainReport(seg, rv.quantiles, rv.confidence)
-			if err != nil {
-				errs[i] = fmt.Errorf("core: epoch %d key %v: %w", epoch, key, err)
-				return
-			}
-			kr.Domains = append(kr.Domains, dr)
-		}
-		kr.Blames = AttributeBlame(layout, epoch, kr.Links)
-		if rv.cfg.BiasChecks {
-			for _, seg := range layout.DomainSegments() {
-				bias, err := v.CheckMarkerBias(seg.Up, seg.Down)
-				if err != nil {
-					continue // too few samples this epoch to judge
-				}
-				kr.Bias = append(kr.Bias, DomainBiasVerdict{Domain: seg.Name, Report: bias})
-				if bias.Suspicious {
-					kr.Blames = append(kr.Blames, BlameMarkerBias(epoch, seg, bias))
-				}
-			}
-		}
-		rep.Keys[i] = kr
-	})
-	for _, err := range errs {
-		if err != nil {
-			return rep, err
-		}
-	}
-	if rv.seq != nil {
-		rep.Seq = rv.feedSequential(epoch, seqCols)
 	}
 	// The verdict goes durable before the RAM window forgets the epoch
 	// needs judging — a crash between the two re-verifies, never skips.

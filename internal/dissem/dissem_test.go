@@ -132,7 +132,15 @@ func TestHTTPEndToEnd(t *testing.T) {
 	defer ts.Close()
 
 	client := &Client{Registry: Registry{4: signer.Public()}}
-	got, err := client.Fetch(context.Background(), ts.URL, 4, 0)
+	fetch := func(since uint64) ([]*Bundle, error) {
+		var got []*Bundle
+		err := client.FetchEach(context.Background(), ts.URL, 4, since, func(b *Bundle) error {
+			got = append(got, b)
+			return nil
+		})
+		return got, err
+	}
+	got, err := fetch(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +152,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 
 	// Incremental fetch.
-	got, err = client.Fetch(context.Background(), ts.URL, 4, 1)
+	got, err = fetch(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +161,14 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 
 	// Past the end.
-	got, err = client.Fetch(context.Background(), ts.URL, 4, 10)
+	got, err = fetch(10)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("past-end fetch: %v, %d bundles", err, len(got))
 	}
 }
+
+// acceptAll is a FetchEach callback that consumes every bundle.
+func acceptAll(*Bundle) error { return nil }
 
 func TestHTTPRejectsUnregisteredOrigin(t *testing.T) {
 	signer := NewSigner(seedOf(8))
@@ -165,7 +176,7 @@ func TestHTTPRejectsUnregisteredOrigin(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	client := &Client{Registry: Registry{}}
-	if _, err := client.Fetch(context.Background(), ts.URL, 4, 0); err == nil {
+	if err := client.FetchEach(context.Background(), ts.URL, 4, 0, acceptAll); err == nil {
 		t.Error("fetch without registered key accepted")
 	}
 }
@@ -181,8 +192,15 @@ func TestHTTPRejectsForgedServer(t *testing.T) {
 	defer ts.Close()
 	legit := NewSigner(seedOf(10))
 	client := &Client{Registry: Registry{4: legit.Public()}}
-	if _, err := client.Fetch(context.Background(), ts.URL, 4, 0); err == nil {
+	delivered := 0
+	if err := client.FetchEach(context.Background(), ts.URL, 4, 0, func(*Bundle) error {
+		delivered++
+		return nil
+	}); err == nil {
 		t.Error("forged bundles accepted")
+	}
+	if delivered != 0 {
+		t.Errorf("%d forged bundles delivered", delivered)
 	}
 }
 
@@ -284,34 +302,6 @@ func TestFetchEachStreams(t *testing.T) {
 	}
 }
 
-func TestCollectEach(t *testing.T) {
-	signer := NewSigner(seedOf(23))
-	srv := NewServer(4, signer)
-	b := sampleBundle(4, 0)
-	srv.Publish(b.Samples, nil)
-	srv.Publish(nil, b.Aggs)
-	bus := NewBus()
-	bus.Attach(srv)
-	reg := Registry{4: signer.Public()}
-
-	var seqs []uint64
-	if err := bus.CollectEach(reg, 4, func(b *Bundle) error {
-		seqs = append(seqs, b.Seq)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(seqs) != 2 || seqs[0] != 0 || seqs[1] != 1 {
-		t.Fatalf("collected seqs %v", seqs)
-	}
-	if err := bus.CollectEach(reg, 9, func(*Bundle) error { return nil }); err == nil {
-		t.Error("missing HOP accepted")
-	}
-	if err := bus.CollectEach(Registry{}, 4, func(*Bundle) error { return nil }); err == nil {
-		t.Error("missing key accepted")
-	}
-}
-
 func TestBus(t *testing.T) {
 	signer := NewSigner(seedOf(12))
 	srv := NewServer(4, signer)
@@ -320,17 +310,21 @@ func TestBus(t *testing.T) {
 	bus := NewBus()
 	bus.Attach(srv)
 	reg := Registry{4: signer.Public()}
-	got, err := bus.Collect(reg, 4)
+	var got []*Bundle
+	next, err := bus.CollectSince(reg, 4, 0, func(b *Bundle) error {
+		got = append(got, b)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 {
-		t.Fatalf("collected %d bundles", len(got))
+	if len(got) != 1 || next != 1 {
+		t.Fatalf("collected %d bundles, cursor %d", len(got), next)
 	}
-	if _, err := bus.Collect(reg, 9); err == nil {
+	if _, err := bus.CollectSince(reg, 9, 0, acceptAll); err == nil {
 		t.Error("missing HOP accepted")
 	}
-	if _, err := bus.Collect(Registry{}, 4); err == nil {
+	if _, err := bus.CollectSince(Registry{}, 4, 0, acceptAll); err == nil {
 		t.Error("missing key accepted")
 	}
 }
@@ -352,49 +346,6 @@ func TestBundleEpochRoundTrip(t *testing.T) {
 	sb.Payload[16] ^= 1 // first epoch byte
 	if _, err := Verify(signer.Public(), 4, sb); err == nil {
 		t.Fatal("tampered epoch accepted")
-	}
-}
-
-func TestPublishEpochFilters(t *testing.T) {
-	signer := NewSigner(seedOf(9))
-	srv := NewServer(3, signer)
-	reg := Registry{3: signer.Public()}
-
-	// Three epochs, two bundles for epoch 1.
-	srv.PublishEpoch(0, sampleBundle(3, 0).Samples, nil)
-	srv.PublishEpoch(1, sampleBundle(3, 0).Samples, nil)
-	srv.PublishEpoch(1, nil, sampleBundle(3, 0).Aggs)
-	srv.PublishEpoch(2, sampleBundle(3, 0).Samples, nil)
-
-	// HTTP per-epoch fetch.
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	c := &Client{Registry: reg}
-	var got []uint64
-	err := c.FetchEpochEach(context.Background(), ts.URL, 3, 1, func(b *Bundle) error {
-		got = append(got, b.Seq)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("epoch-1 fetch returned seqs %v", got)
-	}
-
-	// Bus per-epoch collection.
-	bus := NewBus()
-	bus.Attach(srv)
-	var epochs []uint64
-	err = bus.CollectEpochEach(reg, 3, 1, func(b *Bundle) error {
-		epochs = append(epochs, b.Epoch)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(epochs) != 2 || epochs[0] != 1 || epochs[1] != 1 {
-		t.Fatalf("bus epoch-1 collection returned %v", epochs)
 	}
 }
 

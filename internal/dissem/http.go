@@ -68,9 +68,8 @@ func (e *BundleError) Unwrap() error { return e.Err }
 
 // Server publishes one HOP's signed receipt bundles over HTTP. Mount
 // it at a path of your choice; GET ?since=N returns all bundles with
-// Seq >= N, GET ?epoch=E only the bundles tagged with epoch E (the
-// two filters compose), as a JSON array of SignedBundle. Wrap in TLS
-// for the paper's HTTPS web-site realization.
+// Seq >= N as a JSON array of SignedBundle. Wrap in TLS for the
+// paper's HTTPS web-site realization.
 type Server struct {
 	hop    receipt.HOPID
 	signer *Signer
@@ -83,8 +82,8 @@ type Server struct {
 }
 
 // published is one signed bundle plus the epoch it was tagged with,
-// kept in the clear so the server can filter without re-decoding
-// payloads.
+// kept in the clear so dissemination tampers can key on it without
+// re-decoding payloads.
 type published struct {
 	sb    SignedBundle
 	epoch uint64
@@ -166,15 +165,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		since = v
 	}
-	epochFilter, hasEpoch := uint64(0), false
-	if q := r.URL.Query().Get("epoch"); q != "" {
-		v, err := strconv.ParseUint(q, 10, 64)
-		if err != nil {
-			http.Error(w, "bad epoch parameter", http.StatusBadRequest)
-			return
-		}
-		epochFilter, hasEpoch = v, true
-	}
 	viewer := r.URL.Query().Get("viewer")
 	if viewer == "" {
 		viewer = r.Header.Get(ViewerHeader)
@@ -188,9 +178,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	if start < uint64(len(s.bundles)) {
 		for i, p := range s.bundles[start:] {
-			if hasEpoch && p.epoch != epochFilter {
-				continue
-			}
 			sb := p.sb
 			if s.tamper != nil {
 				var ok bool
@@ -204,7 +191,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mu.RUnlock()
 	// The base is always advertised: a cursor below it has permanently
 	// missed bundles, and silently clamping would hide that from the
-	// lagging verifier (Fetch promises all bundles with Seq >= since).
+	// lagging verifier (FetchEach promises all bundles with Seq >= since).
 	w.Header().Set(BaseHeader, strconv.FormatUint(base, 10))
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(out); err != nil {
@@ -228,57 +215,26 @@ type Client struct {
 	Viewer string
 }
 
-// Fetch retrieves all bundles with Seq >= since from the HOP server at
-// baseURL, verifies each signature against the registered key of
-// origin, and returns the decoded bundles. Any verification failure
-// aborts the fetch: unauthenticated receipts are never returned.
-func (c *Client) Fetch(ctx context.Context, baseURL string, origin receipt.HOPID, since uint64) ([]*Bundle, error) {
-	var out []*Bundle
-	err := c.FetchEach(ctx, baseURL, origin, since, func(b *Bundle) error {
-		out = append(out, b)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// FetchEach is the streaming form of Fetch: the server's JSON response
-// is decoded incrementally, each bundle is signature-verified as it
-// arrives, and fn is invoked per authenticated bundle — the whole
-// interval's receipts never sit in memory at once. A verification
-// failure or an fn error aborts the stream and is returned; bundles
-// already passed to fn stay consumed (ingest is incremental by
-// design — pair FetchEach with a Verifier whose answers are only read
-// after a successful drain). When the server advertises a retention
-// base above since (it pruned bundles the cursor never consumed),
-// FetchEach returns a GapError before delivering anything: the caller
-// must decide how to handle the permanently missing bundles rather
-// than silently skipping them.
+// FetchEach retrieves the bundles with Seq >= since from the HOP
+// server at baseURL and streams them to fn: the server's JSON response
+// is decoded incrementally, each bundle is signature-verified against
+// the registered key of origin as it arrives, and fn is invoked per
+// authenticated bundle — the whole interval's receipts never sit in
+// memory at once, and unauthenticated receipts are never delivered. A
+// verification failure or an fn error aborts the stream and is
+// returned; bundles already passed to fn stay consumed (ingest is
+// incremental by design — pair FetchEach with a Verifier whose answers
+// are only read after a successful drain). When the server advertises
+// a retention base above since (it pruned bundles the cursor never
+// consumed), FetchEach returns a GapError before delivering anything:
+// the caller must decide how to handle the permanently missing bundles
+// rather than silently skipping them.
+//
+// A signature failure and a GapError come back wrapped in Permanent:
+// refetching serves the same forged bundle or the same pruned range,
+// so Retry stops at once. Transport, status and decode errors stay
+// retryable — a connection cut mid-body is transient.
 func (c *Client) FetchEach(ctx context.Context, baseURL string, origin receipt.HOPID, since uint64, fn func(*Bundle) error) error {
-	return c.fetchEach(ctx, fmt.Sprintf("%s?since=%d", baseURL, since), origin, &since, fn)
-}
-
-// FetchEpochEach streams only the bundles the server tagged with the
-// given epoch — the per-epoch subscription of a rolling verifier.
-// Signatures are verified per bundle exactly as in FetchEach, and the
-// epoch claim inside each authenticated payload is checked against the
-// requested epoch so a server cannot smuggle another interval's
-// receipts into the response.
-func (c *Client) FetchEpochEach(ctx context.Context, baseURL string, origin receipt.HOPID, epoch uint64, fn func(*Bundle) error) error {
-	return c.fetchEach(ctx, fmt.Sprintf("%s?epoch=%d", baseURL, epoch), origin, nil, func(b *Bundle) error {
-		if b.Epoch != epoch {
-			return fmt.Errorf("dissem: %v sent epoch %d in an epoch-%d fetch", origin, b.Epoch, epoch)
-		}
-		return fn(b)
-	})
-}
-
-// fetchEach GETs url and streams each authenticated bundle to fn.
-// since, when non-nil, is the cursor the fetch promised to serve
-// completely; a server base above it becomes a GapError.
-func (c *Client) fetchEach(ctx context.Context, url string, origin receipt.HOPID, since *uint64, fn func(*Bundle) error) error {
 	pub, ok := c.Registry[origin]
 	if !ok {
 		return fmt.Errorf("dissem: no registered key for %v", origin)
@@ -287,7 +243,7 @@ func (c *Client) fetchEach(ctx context.Context, url string, origin receipt.HOPID
 	if hc == nil {
 		hc = &http.Client{Timeout: DefaultFetchTimeout}
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, fmt.Sprintf("%s?since=%d", baseURL, since), nil)
 	if err != nil {
 		return err
 	}
@@ -302,12 +258,10 @@ func (c *Client) fetchEach(ctx context.Context, url string, origin receipt.HOPID
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("dissem: %v returned %s", origin, resp.Status)
 	}
-	if since != nil {
-		if h := resp.Header.Get(BaseHeader); h != "" {
-			base, err := strconv.ParseUint(h, 10, 64)
-			if err == nil && base > *since {
-				return &GapError{Origin: origin, Since: *since, Base: base}
-			}
+	if h := resp.Header.Get(BaseHeader); h != "" {
+		base, err := strconv.ParseUint(h, 10, 64)
+		if err == nil && base > since {
+			return Permanent(&GapError{Origin: origin, Since: since, Base: base})
 		}
 	}
 	dec := json.NewDecoder(resp.Body)
@@ -328,7 +282,7 @@ func (c *Client) fetchEach(ctx context.Context, url string, origin receipt.HOPID
 		}
 		b, err := Verify(pub, origin, sb)
 		if err != nil {
-			return fmt.Errorf("dissem: bundle %d from %v: %w", i, origin, err)
+			return Permanent(fmt.Errorf("dissem: bundle %d from %v: %w", i, origin, err))
 		}
 		if err := fn(b); err != nil {
 			return err
@@ -360,19 +314,6 @@ func (b *Bus) Attach(s *Server) {
 	b.servers[s.hop] = s
 }
 
-// Collect returns all verified bundles from the given HOP.
-func (b *Bus) Collect(reg Registry, origin receipt.HOPID) ([]*Bundle, error) {
-	out := make([]*Bundle, 0)
-	err := b.CollectEach(reg, origin, func(bundle *Bundle) error {
-		out = append(out, bundle)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // CollectSince streams the HOP's verified bundles with Seq >= since to
 // fn and returns the next since value — the incremental-subscription
 // primitive: a rolling verifier polls each HOP with the cursor from
@@ -389,6 +330,10 @@ func (b *Bus) CollectSince(reg Registry, origin receipt.HOPID, since uint64, fn 
 
 // CollectSinceAs is CollectSince with a viewer identity, which
 // simulated per-verifier misbehavior (an Equivocator tamper) keys on.
+// A verification failure is returned as a *BundleError naming the
+// origin and sequence, so the consumer can classify it and resume past
+// the poisoned bundle. fn runs outside the bus and server locks, so it
+// may ingest into a verifier (or publish elsewhere) freely.
 func (b *Bus) CollectSinceAs(viewer string, reg Registry, origin receipt.HOPID, since uint64, fn func(*Bundle) error) (uint64, error) {
 	s, ok := b.server(origin)
 	if !ok {
@@ -397,41 +342,41 @@ func (b *Bus) CollectSinceAs(viewer string, reg Registry, origin receipt.HOPID, 
 	if base := s.Base(); since < base {
 		return since, &GapError{Origin: origin, Since: since, Base: base}
 	}
+	pub, ok := reg[origin]
+	if !ok {
+		return since, fmt.Errorf("dissem: no registered key for %v", origin)
+	}
 	next := since
-	err := b.collectFrom(viewer, reg, origin, since, func(bundle *Bundle, seq uint64) error {
+	for i := since; ; i++ {
+		s.mu.RLock()
+		// Skip what a concurrent DropThrough pruned meanwhile.
+		if i < s.base {
+			i = s.base
+		}
+		idx := i - s.base
+		if idx >= uint64(len(s.bundles)) {
+			s.mu.RUnlock()
+			return next, nil
+		}
+		p := s.bundles[idx]
+		tamper := s.tamper
+		s.mu.RUnlock()
+		sb := p.sb
+		if tamper != nil {
+			var serve bool
+			if sb, serve = tamper.Serve(viewer, i, p.epoch, sb); !serve {
+				continue // withheld: the consumer sees only absence
+			}
+		}
+		bundle, err := Verify(pub, origin, sb)
+		if err != nil {
+			return next, &BundleError{Origin: origin, Seq: i, Epoch: p.epoch, Err: err}
+		}
 		if err := fn(bundle); err != nil {
-			return err
+			return next, err
 		}
-		if seq >= next {
-			next = seq + 1
-		}
-		return nil
-	})
-	return next, err
-}
-
-// CollectEach is the streaming form of Collect: each of the HOP's
-// bundles is verified and handed to fn one at a time, without
-// materializing the full interval. fn runs outside the bus and server
-// locks, so it may ingest into a verifier (or publish elsewhere)
-// freely; a verification failure or fn error aborts the stream.
-// Unlike the cursor-based CollectSince, CollectEach means "everything
-// still retained": bundles pruned by DropThrough are skipped silently.
-func (b *Bus) CollectEach(reg Registry, origin receipt.HOPID, fn func(*Bundle) error) error {
-	return b.collectFrom("", reg, origin, 0, func(bundle *Bundle, _ uint64) error { return fn(bundle) })
-}
-
-// CollectEpochEach streams only the HOP's bundles tagged with the
-// given epoch — the per-epoch fetch a rolling verifier issues when it
-// learns an interval has closed. Every bundle is still signature-
-// verified before the epoch filter is applied.
-func (b *Bus) CollectEpochEach(reg Registry, origin receipt.HOPID, epoch uint64, fn func(*Bundle) error) error {
-	return b.collectFrom("", reg, origin, 0, func(bundle *Bundle, _ uint64) error {
-		if bundle.Epoch != epoch {
-			return nil
-		}
-		return fn(bundle)
-	})
+		next = i + 1
+	}
 }
 
 // server resolves an attached HOP server.
@@ -440,51 +385,4 @@ func (b *Bus) server(origin receipt.HOPID) (*Server, bool) {
 	defer b.mu.RUnlock()
 	s, ok := b.servers[origin]
 	return s, ok
-}
-
-// collectFrom streams the HOP's verified bundles at log positions >=
-// since to fn, along with each bundle's server-side sequence number.
-// Sequence numbers index the server's log behind its base offset
-// (bundles below the base were dropped by DropThrough and are
-// skipped — CollectSince surfaces that as a GapError before calling
-// here). A verification failure is returned as a *BundleError naming
-// the origin and sequence, so cursor-based consumers can classify it
-// and skip past the poisoned bundle.
-func (b *Bus) collectFrom(viewer string, reg Registry, origin receipt.HOPID, since uint64, fn func(*Bundle, uint64) error) error {
-	s, ok := b.server(origin)
-	if !ok {
-		return fmt.Errorf("dissem: HOP %v not on bus", origin)
-	}
-	pub, ok := reg[origin]
-	if !ok {
-		return fmt.Errorf("dissem: no registered key for %v", origin)
-	}
-	for i := since; ; i++ {
-		s.mu.RLock()
-		if i < s.base {
-			i = s.base
-		}
-		idx := i - s.base
-		if idx >= uint64(len(s.bundles)) {
-			s.mu.RUnlock()
-			return nil
-		}
-		sb := s.bundles[idx].sb
-		epoch := s.bundles[idx].epoch
-		tamper := s.tamper
-		s.mu.RUnlock()
-		if tamper != nil {
-			var serve bool
-			if sb, serve = tamper.Serve(viewer, i, epoch, sb); !serve {
-				continue // withheld: the consumer sees only absence
-			}
-		}
-		bundle, err := Verify(pub, origin, sb)
-		if err != nil {
-			return &BundleError{Origin: origin, Seq: i, Epoch: epoch, Err: err}
-		}
-		if err := fn(bundle, i); err != nil {
-			return err
-		}
-	}
 }

@@ -98,6 +98,70 @@ func TestRetryStopsOnPermanentError(t *testing.T) {
 	}
 }
 
+// countingServer serves srv behind a request counter.
+func countingServer(t *testing.T, srv http.Handler) (*httptest.Server, *int64) {
+	t.Helper()
+	var requests int64
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		atomic.AddInt64(&requests, 1)
+		srv.ServeHTTP(w, r)
+	}))
+	t.Cleanup(hs.Close)
+	return hs, &requests
+}
+
+// TestRetryStopsOnForgedBundle: FetchEach marks a signature failure and
+// a pruned-cursor gap permanent — refetching serves the same forged
+// bundle or the same gap — so Retry under the production budget makes
+// exactly one request instead of burning the whole backoff schedule.
+// A non-200 answer stays retryable.
+func TestRetryStopsOnForgedBundle(t *testing.T) {
+	legit, evil := NewSigner(seedOf(30)), NewSigner(seedOf(31))
+	client := &Client{Registry: Registry{7: legit.Public()}}
+	ctx := context.Background()
+
+	forged := NewServer(7, evil)
+	forged.Publish(sampleBundle(7, 0).Samples, nil)
+	hs, requests := countingServer(t, forged)
+	err := Retry(ctx, DefaultRetryPolicy, func() error {
+		return client.FetchEach(ctx, hs.URL, 7, 0, func(*Bundle) error { return nil })
+	})
+	var budget *RetryBudgetError
+	if err == nil || errors.As(err, &budget) {
+		t.Fatalf("forged bundle: want a permanent signature error, got %v", err)
+	}
+	if n := atomic.LoadInt64(requests); n != 1 {
+		t.Fatalf("forged bundle fetched %d times, want 1", n)
+	}
+
+	pruned := NewServer(7, legit)
+	pruned.Publish(nil, nil)
+	pruned.Publish(nil, nil)
+	pruned.DropThrough(0)
+	hs, requests = countingServer(t, pruned)
+	err = Retry(ctx, DefaultRetryPolicy, func() error {
+		return client.FetchEach(ctx, hs.URL, 7, 0, func(*Bundle) error { return nil })
+	})
+	var gap *GapError
+	if !errors.As(err, &gap) || gap.Base != 1 {
+		t.Fatalf("pruned cursor: want GapError with base 1, got %v", err)
+	}
+	if n := atomic.LoadInt64(requests); n != 1 {
+		t.Fatalf("pruned cursor fetched %d times, want 1", n)
+	}
+
+	down, client503, requests := flappingServer(t, 1<<30)
+	err = Retry(ctx, fastRetry, func() error {
+		return client503.FetchEach(ctx, down.URL, 7, 0, func(*Bundle) error { return nil })
+	})
+	if !errors.As(err, &budget) {
+		t.Fatalf("non-200 answer: want *RetryBudgetError, got %v", err)
+	}
+	if n := atomic.LoadInt64(requests); n != int64(fastRetry.Attempts) {
+		t.Fatalf("non-200 answer fetched %d times, want %d", n, fastRetry.Attempts)
+	}
+}
+
 func TestRetryContextCancelDuringBackoff(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	slow := RetryPolicy{Attempts: 3, Base: time.Hour}

@@ -133,7 +133,7 @@ func Attacks(cfg Config) ([]AttackRow, error) {
 			return nil, err
 		}
 		truth, _ := w.truth.DomainByName("X")
-		v := core.NewVerifier(w.dep.Layout())
+		v := core.NewVerifierFor(w.dep.Layout(), w.key)
 		v.SetConfig(w.dep.VerifierConfig())
 		var xInS receipt.SampleReceipt
 		var xInA []receipt.AggReceipt

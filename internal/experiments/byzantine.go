@@ -845,37 +845,40 @@ func runBatchScenario(cfg Config, sc *matrixScenario) (*matrixOutcome, error) {
 		}
 	}
 
-	// Verification: link checks, blame attribution, bias checks, and
-	// per-domain estimates over the collected receipts.
+	// Verification: the whole-stream sweep — link checks, blame
+	// attribution, bias checks and per-domain estimates — over the
+	// collected receipts, minus the links of withheld HOPs.
 	key := packet.PathKey{Src: tc.Paths[0].SrcPrefix, Dst: tc.Paths[0].DstPrefix}
-	v := core.NewVerifierOn(layout, store, key)
-	v.SetConfig(dep.VerifierConfig())
+	vc := dep.VerifierConfig()
+	vc.BiasChecks = true
+	rep, err := dep.Sweep(store, []packet.PathKey{key}, vc, quantile.DefaultQuantiles, cfg.Confidence)
+	if err != nil {
+		return nil, err
+	}
+	touchesAbsent := func(up, down receipt.HOPID) bool { return absent[up] || absent[down] }
 	var verdicts []core.LinkVerdict
-	for _, lv := range v.VerifyAllLinks() {
-		if absent[lv.Up] || absent[lv.Down] {
-			continue
+	for _, kr := range rep.Keys {
+		for _, lv := range kr.Links {
+			if !touchesAbsent(lv.Up, lv.Down) {
+				verdicts = append(verdicts, lv)
+			}
 		}
-		verdicts = append(verdicts, lv)
-	}
-	out.linkVerdicts[0] = verdicts
-	out.blames = append(out.blames, core.AttributeBlame(layout, 0, verdicts)...)
-	for _, seg := range layout.DomainSegments() {
-		bias, err := v.CheckMarkerBias(seg.Up, seg.Down)
-		if err != nil || !bias.Suspicious {
-			continue
+		for _, b := range kr.Blames {
+			if b.LinkID < 0 || !touchesAbsent(b.HOPs[0], b.HOPs[1]) {
+				out.blames = append(out.blames, b)
+			}
 		}
-		out.blames = append(out.blames, core.BlameMarkerBias(0, seg, bias))
-	}
-	reports, _ := v.DomainReports(quantile.DefaultQuantiles, cfg.Confidence)
-	for _, dr := range reports {
-		out.domainLoss[dr.Name] = dr.Loss.Rate()
-		if dr.Name == "X" {
-			out.estLoss = dr.Loss.Rate()
-			if len(dr.DelayEstimates) > 1 {
-				out.estP90MS = dr.DelayEstimates[1].Point / 1e6
+		for _, dr := range kr.Domains {
+			out.domainLoss[dr.Name] = dr.Loss.Rate()
+			if dr.Name == "X" {
+				out.estLoss = dr.Loss.Rate()
+				if len(dr.DelayEstimates) > 1 {
+					out.estP90MS = dr.DelayEstimates[1].Point / 1e6
+				}
 			}
 		}
 	}
+	out.linkVerdicts[0] = verdicts
 	truth, _ := truthRes.DomainByName("X")
 	out.truth = truth
 	out.recordMatched()

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"sync"
 	"testing"
 
@@ -35,6 +36,16 @@ func TestAttackMatrix(t *testing.T) {
 	}
 	if len(rows) < 20 {
 		t.Fatalf("matrix produced only %d rows", len(rows))
+	}
+	// The rows, judgments and estimates included, are pinned like the
+	// verdict fingerprints (fingerprint_test.go): a refactor of either
+	// pipeline's verification must leave every row unchanged.
+	rowJSON, err := json.Marshal(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fingerprint(rowJSON); got != pinnedAttackMatrix {
+		t.Errorf("attack matrix fingerprint %s, pinned %s", got, pinnedAttackMatrix)
 	}
 	modes := map[string]map[string]bool{}
 	for _, r := range rows {

@@ -620,16 +620,12 @@ func epochsBatchRow(cfg Config, epochs int, intervalNS int64) (EpochsRow, error)
 		row.SampleReceipts += len(proc.Samples)
 		row.AggReceipts += len(proc.Aggs)
 	}
-	for _, key := range store.Keys() {
-		v := dep.NewVerifierOn(store, key)
-		for _, lv := range v.VerifyAllLinks() {
-			row.MatchedSamples += int64(lv.MatchedSamples)
-			row.Violations += len(lv.Violations)
-		}
-		if _, err := v.DomainReports(quantile.DefaultQuantiles, cfg.Confidence); err != nil {
-			return row, err
-		}
+	rep, err := dep.Sweep(store, store.Keys(), dep.VerifierConfig(), quantile.DefaultQuantiles, cfg.Confidence)
+	if err != nil {
+		return row, err
 	}
+	row.MatchedSamples = rep.MatchedSamples()
+	row.Violations = rep.Violations()
 	wall := time.Since(start)
 	row.Packets = len(pkts)
 	row.WallMS = float64(wall.Nanoseconds()) / 1e6

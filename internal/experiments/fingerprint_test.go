@@ -22,6 +22,9 @@ const (
 	pinnedFig1Batch      = "bcd7479a25b3f7ef"
 	pinnedMeshBatch      = "b7335790ddc2f5a7"
 	pinnedFig1Continuous = "f12c9a676d086501"
+	// pinnedAttackMatrix hashes the JSON of the reduced-scale attack
+	// matrix rows (TestAttackMatrix).
+	pinnedAttackMatrix = "d1db916f60756eef"
 )
 
 func fingerprint(stream []byte) string {

@@ -222,52 +222,25 @@ func runTopoWorld(cfg Config, f topoFamily, faultyLink bool, shards int, wear ma
 func (w *topoWorld) topoSweep(workers int, confidence float64) (string, map[packet.PathKey][]core.Blame, []core.LinkVerdict, int64, int, error) {
 	vc := w.dep.VerifierConfig()
 	vc.Workers = workers
-	keyLayouts := w.dep.KeyLayouts()
+	rep, err := w.dep.Sweep(w.store, w.fgKeys, vc, quantile.DefaultQuantiles, confidence)
+	if err != nil {
+		return "", nil, nil, 0, 0, err
+	}
 	perKey := make(map[packet.PathKey][]core.Blame)
 	var all []core.LinkVerdict
-	var matched int64
-	checks := 0
 	var text strings.Builder
-	for _, key := range w.fgKeys {
-		// ECMP routes of one key share their access legs; the shared
-		// links would get identical verdicts on every route (same
-		// store, same key). Check each (Up, Down) pair once — on the
-		// first route that reaches it — so checks, violations, blame
-		// counts AND the timed work all tally distinct link
-		// verifications, not route multiplicity.
-		seen := make(map[[2]receipt.HOPID]bool)
-		for ri, layout := range keyLayouts[key] {
-			v := core.NewVerifierOn(layout, w.store, key)
-			v.SetConfig(vc)
-			var kept []core.LinkVerdict
-			for li, l := range layout.Links() {
-				pair := [2]receipt.HOPID{l.Up, l.Down}
-				if seen[pair] {
-					continue
-				}
-				seen[pair] = true
-				lv := v.CheckLink(l.Up, l.Down)
-				lv.LinkID = li
-				kept = append(kept, lv)
-			}
-			checks += len(kept)
-			fmt.Fprintf(&text, "key %v route %d\n", key, ri)
-			for _, lv := range kept {
-				matched += int64(lv.MatchedSamples)
-				fmt.Fprintf(&text, "  %+v\n", lv)
-			}
-			reps, err := v.DomainReports(quantile.DefaultQuantiles, confidence)
-			if err != nil {
-				return "", nil, nil, 0, 0, err
-			}
-			for _, rep := range reps {
-				fmt.Fprintf(&text, "  %+v\n", rep)
-			}
-			all = append(all, kept...)
-			perKey[key] = append(perKey[key], core.AttributeBlame(layout, 0, kept)...)
+	for _, kr := range rep.Keys {
+		fmt.Fprintf(&text, "key %v route %d\n", kr.Key, kr.Route)
+		for _, lv := range kr.Links {
+			fmt.Fprintf(&text, "  %+v\n", lv)
 		}
+		for _, dr := range kr.Domains {
+			fmt.Fprintf(&text, "  %+v\n", dr)
+		}
+		all = append(all, kr.Links...)
+		perKey[kr.Key] = append(perKey[kr.Key], kr.Blames...)
 	}
-	return text.String(), perKey, all, matched, checks, nil
+	return text.String(), perKey, all, rep.MatchedSamples(), len(all), nil
 }
 
 // Topo runs the topology sweep: per family, an honest row, then the

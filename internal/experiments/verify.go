@@ -32,12 +32,12 @@ const (
 
 // VerifyRow is one line of the verification-pipeline throughput
 // experiment. Mode "rebuild" is the pre-store shape: every path key
-// re-scans the deployment's receipts into a private verifier. Mode
-// "indexed" ingests receipts once into the shared indexed store, then
-// runs every per-key verification sweep (VerifyAllLinks +
-// DomainReports) over it with the given worker-pool size. The JSON
-// tags are the schema cmd/vpm-bench -run verify -json emits for
-// BENCH_*.json tracking.
+// re-scans the deployment's receipts into a private verifier and
+// verifies serially (VerifyAllLinks + DomainReports). Mode "indexed"
+// ingests receipts once into the shared indexed store, then runs the
+// verification sweep (Deployment.Sweep) over every key with the given
+// worker-pool size. The JSON tags are the schema cmd/vpm-bench -run
+// verify -json emits for BENCH_*.json tracking.
 type VerifyRow struct {
 	Mode             string  `json:"mode"`
 	Workers          int     `json:"workers"`
@@ -99,20 +99,6 @@ func VerifyTraceConfig(cfg Config) trace.Config {
 	return trace.Config{Seed: cfg.Seed + 70, DurationNS: cfg.DurationNS, Paths: paths}
 }
 
-// verifySweep runs the full verification of one path key — every link
-// verdict plus every domain report — and returns the matched-sample
-// total as a cheap cross-mode consistency signal.
-func verifySweep(v *core.Verifier, confidence float64) (int64, error) {
-	var matched int64
-	for _, lv := range v.VerifyAllLinks() {
-		matched += int64(lv.MatchedSamples)
-	}
-	if _, err := v.DomainReports(quantile.DefaultQuantiles, confidence); err != nil {
-		return matched, err
-	}
-	return matched, nil
-}
-
 // Verify measures the verification pipeline on the 16-HOP × 64-path
 // scenario: the per-key rebuild baseline, then the shared indexed
 // store at each worker-pool size in workerCounts (default 1, 2, 4, 8).
@@ -149,14 +135,12 @@ func Verify(cfg Config, workerCounts []int) ([]VerifyRow, error) {
 	var matched int64
 	for _, key := range keys {
 		v := dep.NewVerifier(key)
-		vc := dep.VerifierConfig()
-		vc.Workers = 1
-		v.SetConfig(vc)
-		m, err := verifySweep(v, cfg.Confidence)
-		if err != nil {
+		for _, lv := range v.VerifyAllLinks() {
+			matched += int64(lv.MatchedSamples)
+		}
+		if _, err := v.DomainReports(quantile.DefaultQuantiles, cfg.Confidence); err != nil {
 			return nil, err
 		}
-		matched += m
 	}
 	rows = append(rows, mkRow("rebuild", 1, matched, time.Since(start)))
 
@@ -165,19 +149,13 @@ func Verify(cfg Config, workerCounts []int) ([]VerifyRow, error) {
 	for _, workers := range workerCounts {
 		start := time.Now()
 		store := dep.NewStore()
-		var matched int64
-		for _, key := range keys {
-			v := dep.NewVerifierOn(store, key)
-			vc := dep.VerifierConfig()
-			vc.Workers = workers
-			v.SetConfig(vc)
-			m, err := verifySweep(v, cfg.Confidence)
-			if err != nil {
-				return nil, err
-			}
-			matched += m
+		vc := dep.VerifierConfig()
+		vc.Workers = workers
+		rep, err := dep.Sweep(store, keys, vc, quantile.DefaultQuantiles, cfg.Confidence)
+		if err != nil {
+			return nil, err
 		}
-		rows = append(rows, mkRow("indexed", workers, matched, time.Since(start)))
+		rows = append(rows, mkRow("indexed", workers, rep.MatchedSamples(), time.Since(start)))
 	}
 
 	base := rows[0].WallMS

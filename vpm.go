@@ -43,15 +43,16 @@
 // dissemination bundles (Verifier.Ingest, IngestSigned, and
 // IngestBundles; BundleClient.FetchEach streams bundles off the wire
 // one at a time, authenticating each signature before it is
-// ingested). One store serves many verifiers: build it once, then
-// attach a key-restricted verifier per origin-prefix path
-// (Deployment.NewVerifierOn, NewVerifierOn) without re-scanning
-// receipts per path. Verifier.VerifyAllLinks and
-// Verifier.DomainReports fan their independent link and domain checks
-// over a worker pool (VerifierConfig.Workers: 0 = GOMAXPROCS, 1 =
-// serial); verdicts are byte-identical at any pool size and return in
-// deterministic LinkID (path) order, with missing-record checks
-// answered by a binary search over each index's cached marker
+// ingested). One store serves many verifiers, and every verifier
+// reads exactly one traffic key (Deployment.NewVerifierOn,
+// NewVerifierOn, NewVerifierFor), so nothing is re-scanned per path.
+// Verifying many keys is one verification sweep: Deployment.Sweep
+// runs the link checks, domain reports and blame attribution of every
+// (key, route) work item on one worker pool (VerifierConfig.Workers:
+// 0 = GOMAXPROCS, 1 = serial) — the same sweep the RollingVerifier
+// runs per epoch. Reports are byte-identical at any pool size and list
+// verdicts in deterministic LinkID (path) order, with missing-record
+// checks answered by a binary search over each index's cached marker
 // timeline instead of a scan over all of a HOP's samples.
 //
 // # Continuous operation
@@ -223,16 +224,13 @@ const (
 	DomainSegment = core.DomainSegment
 )
 
-// NewVerifier builds a verifier over a path layout for hand-fed
-// receipts; Deployment.NewVerifier is the usual entry point.
-func NewVerifier(layout Layout) *Verifier { return core.NewVerifier(layout) }
-
-// NewVerifierFor builds a verifier restricted to one origin-prefix
-// path key: receipts for other paths (e.g. in multi-path
-// dissemination bundles) are ingested but never read back.
+// NewVerifierFor builds a verifier for one origin-prefix path key
+// over a path layout, for hand-fed receipts: receipts for other paths
+// (e.g. in multi-path dissemination bundles) are ingested but never
+// read back. Deployment.NewVerifier is the usual entry point.
 func NewVerifierFor(layout Layout, key PathKey) *Verifier { return core.NewVerifierFor(layout, key) }
 
-// NewVerifierOn builds a key-restricted verifier over a shared
+// NewVerifierOn builds a verifier for one path key over a shared
 // ReceiptStore; Deployment.NewVerifierOn is the usual entry point.
 func NewVerifierOn(layout Layout, store *ReceiptStore, key PathKey) *Verifier {
 	return core.NewVerifierOn(layout, store, key)

@@ -106,7 +106,7 @@ func TestPublicAPIAdversary(t *testing.T) {
 	}
 	dep.Finalize()
 
-	v := vpm.NewVerifier(dep.Layout())
+	v := vpm.NewVerifierFor(dep.Layout(), key)
 	v.SetConfig(dep.VerifierConfig())
 	var xInS vpm.SampleReceipt
 	var xInA []vpm.AggReceipt
